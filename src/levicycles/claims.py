@@ -32,6 +32,7 @@ from .cycles import (
     NO_INDUCED_CYCLE,
     UNKNOWN,
     InducedCycleWitness,
+    _check_budget,
     exists_cycle,
     longest_cycle,
 )
@@ -126,6 +127,7 @@ class _Session:
     """Accumulates solver calls for one report: node totals and budget hits."""
 
     def __init__(self, claim: str, budget: int | None, threads: int) -> None:
+        _check_budget(budget)
         self.claim = claim
         self.budget = budget
         self.threads = threads

@@ -15,8 +15,10 @@ enumeration has been exhausted; hitting the node budget yields `Unknown`,
 never a silent under-search.
 
 The budget is applied per root prefix (first line, first point, second
-line), which makes serial runs and runs parallelized over root prefixes
-explore identical node sets and hence return identical answers.
+line), so serial runs and runs parallelized over root prefixes return the
+same status and witness.  They visit the same nodes only when no witness
+exists: the serial run stops at the first witness, while the pool exhausts
+every prefix before it looks for one.
 """
 
 from __future__ import annotations
@@ -239,6 +241,17 @@ class _Search:
     All incidence tests are bitmask operations: lmask[j] is the point set of
     line j, pmask[p] the line set through p, pair[a][b] the unique meet of
     lines a and b.
+
+    The recursion carries ``hit``, the OR of pmask[q] over every chosen
+    point q: the set of lines through some chosen point.  Every chosen line
+    passes through a chosen point (j1 and j2 through p1, each later line
+    through the point it entered by), so ``hit`` contains the chosen lines,
+    and a new line through exit point p must lie in
+    ``pmask[p] & above & ~hit``, where ``above`` holds the lines greater
+    than j1.  The same mask drives the pool check: every line placed after
+    the next one enters through a point not yet chosen, so it must avoid
+    ``hit | pmask[p]``, and an exit point p is skipped when
+    ``above & ~(hit | pmask[p])`` has fewer lines than are still needed.
     """
 
     def __init__(self, point_lines: tuple) -> None:
@@ -290,6 +303,7 @@ class _Search:
         self._budget = budget
         self._nodes = 0
         self._j1 = j1
+        self._above = ((1 << self.k) - 1) >> (j1 + 1) << (j1 + 1)
         if i == min(self.k, self.s) == 2:  # pragma: no cover - guarded upstream
             return None, 0, False
         try:
@@ -297,7 +311,7 @@ class _Search:
                 [j1, j2],
                 [p1],
                 (1 << j1) | (1 << j2),
-                1 << p1,
+                self.pmask[p1],
                 self.lmask[j1],
                 self.lmask[j1] | self.lmask[j2],
             )
@@ -310,7 +324,7 @@ class _Search:
         seq: list[int],
         pts: list[int],
         chosen_lines: int,
-        chosen_points: int,
+        hit: int,
         cover_prev: int,
         cover_all: int,
     ) -> InducedCycleWitness | None:
@@ -330,48 +344,33 @@ class _Search:
 
         final = len(seq) == i - 1
         remaining = i - len(seq) - 1  # lines still needed after the next one
-        lmask, pmask = self.lmask, self.pmask
+        lmask, pmask, above = self.lmask, self.pmask, self._above
         avail = lmask[tip] & ~cover_prev
         while avail:
             pb = avail & -avail
             avail ^= pb
             p = pb.bit_length() - 1
-            cands = pmask[p] >> (j1 + 1) << (j1 + 1)
-            cands &= ~chosen_lines
+            hit_p = hit | pmask[p]
+            # lines placed after the next one enter through points not yet
+            # chosen, so they must miss every point chosen so far including p
+            if remaining > 1 and (above & ~hit_p).bit_count() < remaining:
+                continue
+            cands = pmask[p] & above & ~hit
             while cands:
                 cb = cands & -cands
                 cands ^= cb
                 cand = cb.bit_length() - 1
-                if lmask[cand] & chosen_points:
-                    continue
-                if not final:
-                    if not lmask[cand] & ~cover_all & ~pb:
-                        continue  # no exit point: cand would dead-end
-                    if remaining > 1:
-                        # lines placed after cand enter through points not
-                        # yet chosen, so they must miss every point chosen
-                        # so far including p
-                        blocked = chosen_points | pb
-                        pool = 0
-                        for j in range(j1 + 1, self.k):
-                            if (
-                                not chosen_lines >> j & 1
-                                and j != cand
-                                and not lmask[j] & blocked
-                            ):
-                                pool += 1
-                        if pool < remaining:
-                            continue
+                if not final and not lmask[cand] & ~cover_all & ~pb:
+                    continue  # no exit point: cand would dead-end
+                seq.append(cand)
+                pts.append(p)
                 w = self._rec(
-                    seq + [cand],
-                    pts + [p],
-                    chosen_lines | cb,
-                    chosen_points | pb,
-                    cover_all,
-                    cover_all | lmask[cand],
+                    seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand]
                 )
                 if w is not None:
                     return w
+                seq.pop()
+                pts.pop()
         return None
 
 
@@ -397,6 +396,13 @@ def _check_i(i: int) -> None:
         )
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ArrangementError(
+            f"budget must be a non-negative node count, got {budget}"
+        )
+
+
 def exists_cycle(
     arr: Arrangement,
     i: int,
@@ -408,10 +414,13 @@ def exists_cycle(
 
     Returns Found with a canonical witness, Absent after exhausting the
     canonical enumeration, or Unknown when some root prefix hit the node
-    budget first.  With threads > 1 the root prefixes are distributed over a
-    process pool; statuses and witnesses are identical to the serial run.
+    budget first.  The budget must be None or a non-negative node count
+    per root prefix; a negative one raises ArrangementError.  With
+    threads > 1 the root prefixes are distributed over a process pool;
+    statuses and witnesses are identical to the serial run.
     """
     _check_i(i)
+    _check_budget(budget)
     if i > min(arr.k, arr.s):
         return SearchResult(ABSENT, None, 0)
     search = _Search.for_arrangement(arr)
@@ -454,6 +463,7 @@ def longest_cycle(
     graph is an induced-cycle-free forest-like graph, reported as
     no-induced-cycle.
     """
+    _check_budget(budget)
     nodes = 0
     for i in range(min(arr.k, arr.s), 2, -1):
         r = exists_cycle(arr, i, budget=budget, threads=threads)
@@ -472,8 +482,11 @@ def spectrum(
     threads: int = 1,
 ) -> CycleSpectrum:
     """Existence per length for i = 3 .. i_max (default min(k, s))."""
+    _check_budget(budget)
     if i_max is None:
         i_max = min(arr.k, arr.s)
+    elif not isinstance(i_max, int) or i_max < 3:
+        raise BadLength(f"spectrum needs i_max >= 3, got {i_max!r}")
     results = {
         i: exists_cycle(arr, i, budget=budget, threads=threads)
         for i in range(3, i_max + 1)

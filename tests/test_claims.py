@@ -3,7 +3,7 @@ import json
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import Arrangement
+from levicycles.arrangement import Arrangement, ArrangementError
 from levicycles.claims import (
     CONFIRMED,
     NOT_APPLICABLE,
@@ -287,6 +287,16 @@ def test_budget_zero_degrades_to_unknown():
     report = verify_named_claim("nine-three-longest", budget=0)
     assert report.verdict == VERDICT_UNKNOWN
     assert report.budget == 0
+
+
+def test_negative_budget_rejected():
+    # rejected up front, even where a hypothesis fails before any search
+    with pytest.raises(ArrangementError, match="non-negative"):
+        verify_c6(pencil(), budget=-1)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        verify_named_claim("nine-three-longest", budget=-1)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        all_checkers(families.nine_three(), budget=-1)
 
 
 def test_budget_zero_keeps_not_applicable():

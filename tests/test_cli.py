@@ -172,6 +172,28 @@ def test_cycles_budget_exhausted(files, capsys):
     assert run(["cycles", files["nine_three"], "--spectrum", "4", "--budget", "0"]) == EXIT_UNKNOWN
 
 
+@pytest.mark.parametrize("mode", [["--longest"], ["--exists", "9"], ["--spectrum", "4"]])
+def test_cycles_negative_budget_is_usage_error(files, capsys, mode):
+    assert run(["cycles", files["nine_three"], *mode, "--budget", "-1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+
+
+def test_verify_negative_budget_is_usage_error(files, capsys):
+    code = run(["verify", files["nine_three"], "--claim", "c6", "--budget", "-1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("i_max", ["2", "-5"])
+def test_cycles_spectrum_below_three_is_usage_error(files, capsys, i_max):
+    assert run(["cycles", files["nine_three"], "--spectrum", i_max]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "i_max >= 3" in captured.err
+
+
 def test_cycles_threads_flag(files, capsys):
     assert run(["cycles", files["nine_three"], "--exists", "9", "--threads", "2"]) == EXIT_OK
     assert capsys.readouterr().out == "length 18: found\n"

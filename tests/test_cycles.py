@@ -180,6 +180,22 @@ def test_budget_zero_reports_unknown():
     assert lr.i is None and lr.length is None
 
 
+@pytest.mark.parametrize("budget", [-1, -10**9])
+def test_negative_budget_rejected(budget):
+    arr = families.nine_three()
+    with pytest.raises(ArrangementError, match="non-negative"):
+        exists_cycle(arr, 9, budget=budget)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        longest_cycle(arr, budget=budget)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        spectrum(arr, budget=budget)
+    # rejected before any early return that would skip the search
+    with pytest.raises(ArrangementError, match="non-negative"):
+        exists_cycle(families.generic(3), 4, budget=budget)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        longest_cycle(families.generic(2), budget=budget)
+
+
 def test_generous_budget_changes_nothing():
     arr = families.nine_three()
     assert exists_cycle(arr, 9, budget=10**9).status == FOUND
@@ -227,6 +243,111 @@ def test_frozen_spectra(name, make, found, longest_i):
             assert validate_witness(arr, r.witness).passed
 
 
+# Unbudgeted serial node totals are deterministic and machine-independent,
+# so they are the regression gate for solver changes: a pruning rewrite must
+# keep them, the found sets and the canonical witnesses exactly.
+GOLDEN = [
+    (
+        "hesse", families.hesse, 8284, 8273,
+        {
+            3: ((0, 3, 10), (0, 3, 2)),
+            4: ((0, 3, 1, 4), (0, 3, 4, 1)),
+            5: ((0, 3, 1, 4, 5), (0, 3, 4, 14, 2)),
+            6: ((0, 3, 1, 4, 2, 5), (0, 3, 4, 7, 8, 2)),
+        },
+    ),
+    (
+        "ceva4", lambda: families.ceva(4), 2466, 2439,
+        {
+            3: ((0, 4, 9), (0, 4, 5)),
+            4: ((0, 4, 1, 7), (0, 4, 3, 15)),
+            5: ((0, 4, 1, 7, 10), (0, 4, 3, 11, 10)),
+            6: ((0, 4, 1, 7, 2, 6), (0, 4, 3, 7, 2, 10)),
+            7: ((0, 4, 1, 7, 2, 11, 10), (0, 4, 3, 7, 13, 18, 10)),
+            8: ((0, 4, 1, 7, 2, 6, 3, 5), (0, 4, 3, 7, 2, 6, 1, 5)),
+        },
+    ),
+    (
+        "mu3_5", lambda: families.supersolvable_mu3(5), 5381, 1355,
+        {
+            3: ((0, 3, 7), (0, 3, 4)),
+            4: ((0, 3, 1, 5), (0, 3, 2, 8)),
+            5: ((0, 3, 1, 8, 11), (0, 3, 7, 11, 12)),
+            6: ((0, 3, 1, 5, 2, 4), (0, 3, 2, 5, 1, 4)),
+            8: ((0, 3, 1, 5, 2, 4, 9, 11), (0, 3, 2, 5, 1, 16, 11, 12)),
+            9: (
+                (0, 3, 9, 4, 8, 10, 7, 2, 11),
+                (0, 15, 16, 7, 20, 19, 5, 14, 12),
+            ),
+        },
+    ),
+    (
+        "nine_three", families.nine_three, 392, 14,
+        {
+            3: ((0, 1, 3), (0, 3, 9)),
+            4: ((0, 1, 3, 7), (0, 3, 5, 2)),
+            5: ((0, 1, 3, 7, 4), (0, 3, 5, 16, 1)),
+            6: ((0, 1, 7, 3, 4, 6), (0, 4, 5, 7, 6, 10)),
+            7: ((0, 1, 4, 6, 8, 3, 7), (0, 11, 6, 8, 15, 5, 2)),
+            9: (
+                (0, 3, 8, 2, 5, 1, 4, 7, 6),
+                (9, 15, 14, 13, 12, 11, 16, 17, 10),
+            ),
+        },
+    ),
+    (
+        "awk62", lambda: families.a_w_k(6, 2), 6112, 135,
+        {
+            3: ((0, 1, 2), (0, 2, 1)),
+            4: ((0, 1, 11, 7), (0, 2, 3, 1)),
+            5: ((0, 3, 11, 12, 7), (0, 5, 2, 4, 1)),
+            6: ((0, 1, 7, 11, 8, 12), (0, 23, 3, 5, 6, 28)),
+            7: ((0, 11, 6, 9, 1, 10, 12), (27, 3, 16, 25, 26, 10, 28)),
+            8: (
+                (0, 11, 6, 9, 5, 8, 4, 12),
+                (27, 3, 16, 15, 14, 13, 10, 28),
+            ),
+            9: (
+                (0, 11, 6, 9, 5, 8, 1, 10, 12),
+                (27, 3, 16, 15, 14, 24, 26, 10, 28),
+            ),
+            10: (
+                (0, 11, 6, 9, 1, 8, 4, 2, 5, 12),
+                (27, 3, 16, 25, 24, 13, 20, 21, 4, 28),
+            ),
+            11: (
+                (0, 11, 6, 9, 1, 8, 5, 2, 3, 10, 12),
+                (27, 3, 16, 25, 24, 14, 21, 19, 18, 10, 28),
+            ),
+            12: (
+                (0, 11, 6, 9, 1, 10, 3, 2, 4, 8, 5, 12),
+                (27, 3, 16, 25, 26, 18, 19, 20, 13, 14, 4, 28),
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,spectrum_nodes,longest_nodes,witnesses",
+    GOLDEN,
+    ids=[g[0] for g in GOLDEN],
+)
+def test_golden_node_counts_and_witnesses(
+    name, make, spectrum_nodes, longest_nodes, witnesses
+):
+    arr = make()
+    spec = spectrum(arr)
+    assert sum(r.nodes for r in spec.results.values()) == spectrum_nodes
+    assert spec.found == tuple(sorted(witnesses))
+    got = {i: (r.witness.lines, r.witness.points) for i, r in spec.results.items() if r.witness}
+    assert got == witnesses
+    lr = longest_cycle(arr)
+    assert lr.nodes == longest_nodes
+    assert lr.i == max(witnesses)
+    assert (lr.witness.lines, lr.witness.points) == witnesses[lr.i]
+
+
 @pytest.mark.parametrize(
     "make,expect",
     [
@@ -265,6 +386,17 @@ def test_spectrum_i_max():
     spec = spectrum(families.nine_three(), i_max=5)
     assert sorted(spec.results) == [3, 4, 5]
     assert spec.found == (3, 4, 5)
+
+
+@pytest.mark.parametrize("i_max", [2, 0, -5])
+def test_spectrum_rejects_explicit_i_max_below_three(i_max):
+    with pytest.raises(BadLength):
+        spectrum(families.nine_three(), i_max=i_max)
+
+
+def test_spectrum_default_i_max_on_tiny_arrangements_is_empty():
+    assert spectrum(families.generic(2)).results == {}
+    assert spectrum(Arrangement(3, [(0, 1, 2)])).results == {}
 
 
 def test_spectrum_json():
