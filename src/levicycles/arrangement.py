@@ -91,7 +91,7 @@ class Arrangement:
     Incidence is stored in both directions, plus bitmask views (``line_masks``
     bit p = point p lies on the line; ``point_masks`` bit j = line j passes
     through the point) for O(1) membership tests in the cycle solver.
-    Instances are immutable and safe to share across worker processes.
+    Instances are immutable.
     """
 
     __slots__ = (

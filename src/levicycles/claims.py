@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .arrangement import (
     Arrangement,
@@ -99,10 +99,7 @@ class ClaimReport:
                 for h in self.hypotheses
             ],
             "verdict": self.verdict,
-            "witnesses": [
-                {"lines": list(w.lines), "points": list(w.points)}
-                for w in self.witnesses
-            ],
+            "witnesses": [asdict(w) for w in self.witnesses],
             "notes": list(self.notes),
             "nodes": self.nodes,
             "budget": self.budget,
@@ -126,24 +123,23 @@ class ClaimReport:
 class _Session:
     """Accumulates solver calls for one report: node totals and budget hits."""
 
-    def __init__(self, claim: str, budget: int | None, threads: int) -> None:
+    def __init__(self, claim: str, budget: int | None) -> None:
         _check_budget(budget)
         self.claim = claim
         self.budget = budget
-        self.threads = threads
         self.nodes = 0
         self.budget_hit = False
         self.started = time.perf_counter()
 
     def exists(self, arr: Arrangement, i: int):
-        res = exists_cycle(arr, i, budget=self.budget, threads=self.threads)
+        res = exists_cycle(arr, i, budget=self.budget)
         self.nodes += res.nodes
         if res.status == UNKNOWN:
             self.budget_hit = True
         return res
 
     def longest(self, arr: Arrangement):
-        res = longest_cycle(arr, budget=self.budget, threads=self.threads)
+        res = longest_cycle(arr, budget=self.budget)
         self.nodes += res.nodes
         if res.status == UNKNOWN:
             self.budget_hit = True
@@ -213,26 +209,33 @@ def _range_verdict(session: _Session, arr: Arrangement, lengths: list[int]):
     return verdict, tuple(witnesses), tuple(notes)
 
 
-def verify_c6(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> ClaimReport:
-    """Not all lines concurrent (t_k = 0) implies an induced 6-cycle."""
-    session = _Session("c6", budget, threads)
-    tk = multiplicity_profile(arr).t_r(arr.k)
-    hyp = Hypothesis("not all lines concurrent (t_k = 0)", tk == 0, f"t_{arr.k} = {tk}")
-    if not hyp.holds:
-        return session.report((hyp,), NOT_APPLICABLE)
-    res = session.exists(arr, 3)
+def _exists_claim(
+    session: _Session, hyps: tuple[Hypothesis, ...], arr: Arrangement, i: int
+) -> ClaimReport:
+    """Hypotheses imply an induced 2i-cycle: test it once they all hold."""
+    if not all(h.holds for h in hyps):
+        return session.report(hyps, NOT_APPLICABLE)
+    res = session.exists(arr, i)
     if res.status == FOUND:
-        return session.report((hyp,), CONFIRMED, (res.witness,))
+        return session.report(hyps, CONFIRMED, (res.witness,))
     if res.status == UNKNOWN:
-        return session.report((hyp,), VERDICT_UNKNOWN, notes=("budget exhausted at length 6",))
+        return session.report(hyps, VERDICT_UNKNOWN, notes=(f"budget exhausted at length {2 * i}",))
     return session.report(
-        (hyp,), REFUTED, notes=("exhaustive search found no induced cycle of length 6",)
+        hyps, REFUTED, notes=(f"exhaustive search found no induced cycle of length {2 * i}",)
     )
 
 
-def verify_c8(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> ClaimReport:
+def verify_c6(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
+    """Not all lines concurrent (t_k = 0) implies an induced 6-cycle."""
+    session = _Session("c6", budget)
+    tk = multiplicity_profile(arr).t_r(arr.k)
+    hyp = Hypothesis("not all lines concurrent (t_k = 0)", tk == 0, f"t_{arr.k} = {tk}")
+    return _exists_claim(session, (hyp,), arr, 3)
+
+
+def verify_c8(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     """t_k = t_{k-1} = 0 implies an induced 8-cycle."""
-    session = _Session("c8", budget, threads)
+    session = _Session("c8", budget)
     prof = multiplicity_profile(arr)
     tk = prof.t_r(arr.k)
     tk1 = prof.t_r(arr.k - 1)
@@ -240,16 +243,7 @@ def verify_c8(arr: Arrangement, *, budget: int | None = None, threads: int = 1) 
         Hypothesis("no k-fold point (t_k = 0)", tk == 0, f"t_{arr.k} = {tk}"),
         Hypothesis("no (k-1)-fold point (t_{k-1} = 0)", tk1 == 0, f"t_{arr.k - 1} = {tk1}"),
     )
-    if not all(h.holds for h in hyps):
-        return session.report(hyps, NOT_APPLICABLE)
-    res = session.exists(arr, 4)
-    if res.status == FOUND:
-        return session.report(hyps, CONFIRMED, (res.witness,))
-    if res.status == UNKNOWN:
-        return session.report(hyps, VERDICT_UNKNOWN, notes=("budget exhausted at length 8",))
-    return session.report(
-        hyps, REFUTED, notes=("exhaustive search found no induced cycle of length 8",)
-    )
+    return _exists_claim(session, hyps, arr, 4)
 
 
 def _has_common_point(arr: Arrangement, lines: list[int]) -> bool:
@@ -257,7 +251,7 @@ def _has_common_point(arr: Arrangement, lines: list[int]) -> bool:
     return any(need <= set(pls) for pls in arr.point_lines)
 
 
-def verify_c10(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> ClaimReport:
+def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     """
     Case analysis for existence of an induced 10-cycle when k >= 10.
 
@@ -279,7 +273,7 @@ def verify_c10(arr: Arrangement, *, budget: int | None = None, threads: int = 1)
     solver answer; if no case matches at any q-fold point the claim is out
     of scope and the report is NotApplicable.
     """
-    session = _Session("c10", budget, threads)
+    session = _Session("c10", budget)
     hyp_k = Hypothesis("at least ten lines", arr.k >= 10, f"k = {arr.k}")
     if not hyp_k.holds or arr.s == 0:
         scope = Hypothesis("some case's side conditions match", False, "not evaluated")
@@ -357,7 +351,7 @@ def _double_counts(arr: Arrangement) -> list[int]:
     return counts
 
 
-def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> ClaimReport:
+def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     """
     Triple points only: induced cycles of every even length up to a bound.
 
@@ -367,7 +361,7 @@ def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None, threads: in
     double point, and min(floor((k+11)/4), floor((2k+16)/7)) when k is even
     and no line does.
     """
-    session = _Session("t3-bounds", budget, threads)
+    session = _Session("t3-bounds", budget)
     prof = multiplicity_profile(arr)
     t3 = prof.t_r(3)
     high = {r: c for r, c in prof.t.items() if r > 3 and c}
@@ -404,7 +398,7 @@ def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None, threads: in
     return session.report(hyps, verdict, witnesses, (branch,) + notes)
 
 
-def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> ClaimReport:
+def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     """
     Maximal multiplicity q >= 3: induced cycles up to the general bounds.
 
@@ -414,7 +408,7 @@ def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None, threads: in
     t_p occur (2 <= p < q) and q - 1 does not divide k - 1; when part (ii)
     does not apply, only part (i) is tested and a note records why.
     """
-    session = _Session("tq-bounds", budget, threads)
+    session = _Session("tq-bounds", budget)
     prof = multiplicity_profile(arr)
     nz = _nonzero_profile(arr)
     q = max(nz, default=0)
@@ -448,10 +442,10 @@ def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None, threads: in
 
 
 def verify_no_2k_supersolvable(
-    arr: Arrangement, *, budget: int | None = None, threads: int = 1
+    arr: Arrangement, *, budget: int | None = None
 ) -> ClaimReport:
     """A modular point rules out an induced cycle through all k lines."""
-    session = _Session("no-2k-supersolvable", budget, threads)
+    session = _Session("no-2k-supersolvable", budget)
     mods = sorted(modular_points(arr))
     hyp = Hypothesis(
         "has a modular point",
@@ -524,7 +518,6 @@ def verify_named_claim(
     params: dict | None = None,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> ClaimReport:
     """
     Check one named worked-result claim.
@@ -535,7 +528,7 @@ def verify_named_claim(
     exhaustive maximum against the claimed value.
     """
     params = dict(params or {})
-    session = _Session(claim, budget, threads)
+    session = _Session(claim, budget)
 
     def need(key: str) -> int:
         if key not in params:
@@ -602,13 +595,13 @@ def verify_named_claim(
     raise UnknownClaim(f"unknown claim {claim!r}; known: {', '.join(NAMED_CLAIMS)}")
 
 
-def all_checkers(arr: Arrangement, *, budget: int | None = None, threads: int = 1) -> list[ClaimReport]:
+def all_checkers(arr: Arrangement, *, budget: int | None = None) -> list[ClaimReport]:
     """Run every arrangement-level checker (not the named claims) on arr."""
     return [
-        verify_c6(arr, budget=budget, threads=threads),
-        verify_c8(arr, budget=budget, threads=threads),
-        verify_c10(arr, budget=budget, threads=threads),
-        verify_t3_bounds(arr, budget=budget, threads=threads),
-        verify_tq_bounds(arr, budget=budget, threads=threads),
-        verify_no_2k_supersolvable(arr, budget=budget, threads=threads),
+        verify_c6(arr, budget=budget),
+        verify_c8(arr, budget=budget),
+        verify_c10(arr, budget=budget),
+        verify_t3_bounds(arr, budget=budget),
+        verify_tq_bounds(arr, budget=budget),
+        verify_no_2k_supersolvable(arr, budget=budget),
     ]

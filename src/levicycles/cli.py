@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .arrangement import (
     ArrangementError,
@@ -67,7 +68,9 @@ def _parse_chosen(text: str | None) -> tuple[int, ...] | None:
         raise ArrangementError(f"--chosen expects comma-separated integers, got {text!r}")
 
 
-def _load(path: str):
+def _load(path: str | None):
+    if path is None:
+        raise ArrangementError("an arrangement FILE is required with --all or a checker id")
     with open(path, "r", encoding="utf-8") as fh:
         return arrangement_from_json(fh.read())
 
@@ -126,13 +129,13 @@ def _cmd_levi(args) -> int:
 
 def _cmd_cycles(args) -> int:
     arr = _load(args.file)
-    budget, threads = args.budget, args.threads
+    budget = args.budget
     if args.longest:
-        res = longest_cycle(arr, budget=budget, threads=threads)
+        res = longest_cycle(arr, budget=budget)
         if args.format == "json":
             doc = {"status": res.status, "length": res.length, "nodes": res.nodes}
             if res.witness is not None:
-                doc["witness"] = {"lines": list(res.witness.lines), "points": list(res.witness.points)}
+                doc["witness"] = asdict(res.witness)
             print(json.dumps(doc, indent=2))
         elif res.status == FOUND:
             print(f"longest induced cycle: length {res.length} ({res.i} lines)")
@@ -144,18 +147,18 @@ def _cmd_cycles(args) -> int:
             print("unknown: budget exhausted")
         return EXIT_UNKNOWN if res.status == UNKNOWN else EXIT_OK
     if args.exists is not None:
-        res = exists_cycle(arr, args.exists, budget=budget, threads=threads)
+        res = exists_cycle(arr, args.exists, budget=budget)
         if args.format == "json":
             doc = {"i": args.exists, "status": res.status, "nodes": res.nodes}
             if res.witness is not None:
-                doc["witness"] = {"lines": list(res.witness.lines), "points": list(res.witness.points)}
+                doc["witness"] = asdict(res.witness)
             print(json.dumps(doc, indent=2))
         else:
             print(f"length {2 * args.exists}: {res.status}")
             if args.witness and res.witness is not None:
                 print(_witness_line(res.witness))
         return EXIT_UNKNOWN if res.status == UNKNOWN else EXIT_OK
-    sp = spectrum(arr, i_max=args.spectrum, budget=budget, threads=threads)
+    sp = spectrum(arr, i_max=args.spectrum, budget=budget)
     if args.format == "json":
         print(sp.to_json(indent=2))
     else:
@@ -176,12 +179,11 @@ def _report_doc(report, timing: bool) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    arr = _load(args.file)
-    budget, threads = args.budget, args.threads
+    budget = args.budget
     if args.all:
-        reports = all_checkers(arr, budget=budget, threads=threads)
+        reports = all_checkers(_load(args.file), budget=budget)
     elif args.claim in CHECKERS:
-        reports = [CHECKERS[args.claim](arr, budget=budget, threads=threads)]
+        reports = [CHECKERS[args.claim](_load(args.file), budget=budget)]
     else:
         params: dict = {}
         for key in ("n", "m", "k"):
@@ -191,7 +193,7 @@ def _cmd_verify(args) -> int:
         chosen = _parse_chosen(args.chosen)
         if chosen is not None:
             params["chosen"] = chosen
-        reports = [verify_named_claim(args.claim, params, budget=budget, threads=threads)]
+        reports = [verify_named_claim(args.claim, params, budget=budget)]
     if args.format == "json":
         print(json.dumps([_report_doc(r, args.timing) for r in reports], indent=2))
     else:
@@ -210,9 +212,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     arr = _load(args.file)
-    g = build_levi(arr).to_networkx()
-    oracle_lengths = oracle_induced_cycle_lengths(g)
-    sp = spectrum(arr, threads=args.threads)
+    edges = [(f"x{p}", f"y{j}") for p, j in build_levi(arr).edges]
+    oracle_lengths = oracle_induced_cycle_lengths(edges)
+    sp = spectrum(arr)
     if any(r.status == UNKNOWN for r in sp.results.values()):
         print("unknown: solver budget exhausted", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -264,12 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--spectrum", type=int, metavar="MAX")
     p.add_argument("--budget", type=int)
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_cycles)
 
     p = sub.add_parser("verify", help="run claim checkers and print reports")
-    p.add_argument("file")
+    p.add_argument(
+        "file", nargs="?", help="arrangement JSON; required with --all or a checker id"
+    )
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument(
         "--claim",
@@ -284,14 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--chosen")
     p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true", help="include wall-clock time")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle-check", help="compare solver spectrum with the brute-force oracle")
     p.add_argument("file")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

@@ -14,18 +14,17 @@ symmetry of the cycle.  `Absent` is only reported after the canonical
 enumeration has been exhausted; hitting the node budget yields `Unknown`,
 never a silent under-search.
 
-The budget is applied per root prefix (first line, first point, second
-line), so serial runs and runs parallelized over root prefixes return the
-same status and witness.  They visit the same nodes only when no witness
-exists: the serial run stops at the first witness, while the pool exhausts
-every prefix before it looks for one.
+The search is serial with one fixed schedule: root prefixes (first line,
+first point, second line) in lexicographic order, each exhausted before the
+next, stopping at the first witness.  Statuses, witnesses and node counts
+are therefore deterministic.  The budget caps the nodes of one
+`exists_cycle` call; `longest_cycle` and `spectrum` apply it to each length.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .arrangement import Arrangement, ArrangementError, ValidationReport
 from .levi import build_levi
@@ -95,9 +94,7 @@ class InducedCycleWitness:
         return InducedCycleWitness(*best)
 
     def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(
-            {"lines": list(self.lines), "points": list(self.points)}, indent=indent
-        )
+        return json.dumps(asdict(self), indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> InducedCycleWitness:
@@ -222,10 +219,7 @@ class CycleSpectrum:
         for i, r in sorted(self.results.items()):
             entry: dict[str, object] = {"status": r.status}
             if r.witness is not None:
-                entry["witness"] = {
-                    "lines": list(r.witness.lines),
-                    "points": list(r.witness.points),
-                }
+                entry["witness"] = asdict(r.witness)
             doc[str(i)] = entry
         return json.dumps(doc, indent=indent)
 
@@ -254,70 +248,53 @@ class _Search:
     ``above & ~(hit | pmask[p])`` has fewer lines than are still needed.
     """
 
-    def __init__(self, point_lines: tuple) -> None:
-        k = max((max(fs) for fs in point_lines if fs), default=-1) + 1
-        s = len(point_lines)
-        self.k, self.s = k, s
-        self.lmask = [0] * k
-        self.pmask = [0] * s
-        pair = [[-1] * k for _ in range(k)]
-        for p, fs in enumerate(point_lines):
-            for j in fs:
-                self.lmask[j] |= 1 << p
-                self.pmask[p] |= 1 << j
+    def __init__(self, arr: Arrangement) -> None:
+        self.k = arr.k
+        self.lmask = arr.line_masks
+        self.pmask = arr.point_masks
+        pair = [[-1] * arr.k for _ in range(arr.k)]
+        for p, fs in enumerate(arr.point_lines):
             for a in fs:
                 for b in fs:
                     if a != b:
                         pair[a][b] = p
         self.pair = pair
-        self.line_points = [
-            [p for p in range(s) if self.lmask[j] >> p & 1] for j in range(k)
-        ]
+        self.line_points = [sorted(ps) for ps in arr.line_points]
 
-    @classmethod
-    def for_arrangement(cls, arr: Arrangement) -> _Search:
-        return cls(arr.point_lines)
-
-    def prefixes(self, i: int):
-        """Root states (j1, p1, j2) in lexicographic order; j1 is the cycle
-        minimum, so only j2 > j1 can follow."""
-        if i > min(self.k, self.s):
-            return
-        for j1 in range(self.k):
-            for p1 in self.line_points[j1]:
-                rest = self.pmask[p1] >> (j1 + 1) << (j1 + 1)
-                while rest:
-                    low = rest & -rest
-                    yield j1, p1, low.bit_length() - 1
-                    rest ^= low
-
-    def run_prefix(
-        self, i: int, prefix: tuple[int, int, int], budget: int | None
-    ) -> tuple[InducedCycleWitness | None, int, bool]:
+    def run(self, i: int, budget: int | None) -> SearchResult:
         """
-        Exhaust one root prefix.  Returns (first witness or None, nodes
-        visited, budget_hit).
+        Exhaust the root prefixes (j1, p1, j2) in lexicographic order and
+        return the first witness.  j1 is the cycle minimum, so only j2 > j1
+        can follow.  One node counter spans every prefix; passing the budget
+        ends the search as Unknown.
         """
-        j1, p1, j2 = prefix
         self._i = i
         self._budget = budget
         self._nodes = 0
-        self._j1 = j1
-        self._above = ((1 << self.k) - 1) >> (j1 + 1) << (j1 + 1)
-        if i == min(self.k, self.s) == 2:  # pragma: no cover - guarded upstream
-            return None, 0, False
+        lmask, pmask = self.lmask, self.pmask
         try:
-            w = self._rec(
-                [j1, j2],
-                [p1],
-                (1 << j1) | (1 << j2),
-                self.pmask[p1],
-                self.lmask[j1],
-                self.lmask[j1] | self.lmask[j2],
-            )
+            for j1 in range(self.k):
+                self._j1 = j1
+                self._above = ((1 << self.k) - 1) >> (j1 + 1) << (j1 + 1)
+                for p1 in self.line_points[j1]:
+                    rest = pmask[p1] & self._above
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        j2 = low.bit_length() - 1
+                        w = self._rec(
+                            [j1, j2],
+                            [p1],
+                            (1 << j1) | low,
+                            pmask[p1],
+                            lmask[j1],
+                            lmask[j1] | lmask[j2],
+                        )
+                        if w is not None:
+                            return SearchResult(FOUND, w, self._nodes)
         except _BudgetHit:
-            return None, self._nodes, True
-        return w, self._nodes, False
+            return SearchResult(UNKNOWN, None, self._nodes)
+        return SearchResult(ABSENT, None, self._nodes)
 
     def _rec(
         self,
@@ -374,21 +351,6 @@ class _Search:
         return None
 
 
-_WORKER: _Search | None = None
-
-
-def _init_worker(point_lines: tuple) -> None:
-    global _WORKER
-    _WORKER = _Search(point_lines)
-
-
-def _prefix_task(args: tuple) -> tuple:
-    i, prefix, budget = args
-    assert _WORKER is not None
-    w, nodes, hit = _WORKER.run_prefix(i, prefix, budget)
-    return (None if w is None else (w.lines, w.points)), nodes, hit
-
-
 def _check_i(i: int) -> None:
     if not isinstance(i, int) or i < 3:
         raise BadLength(
@@ -407,53 +369,25 @@ def exists_cycle(
     arr: Arrangement,
     i: int,
     budget: int | None = None,
-    threads: int = 1,
 ) -> SearchResult:
     """
     Decide whether the Levi graph of arr has an induced cycle of length 2i.
 
     Returns Found with a canonical witness, Absent after exhausting the
-    canonical enumeration, or Unknown when some root prefix hit the node
-    budget first.  The budget must be None or a non-negative node count
-    per root prefix; a negative one raises ArrangementError.  With
-    threads > 1 the root prefixes are distributed over a process pool;
-    statuses and witnesses are identical to the serial run.
+    canonical enumeration, or Unknown when the search visited more than
+    ``budget`` nodes first.  The budget must be None or a non-negative node
+    count for the whole call; a negative one raises ArrangementError.
     """
     _check_i(i)
     _check_budget(budget)
     if i > min(arr.k, arr.s):
         return SearchResult(ABSENT, None, 0)
-    search = _Search.for_arrangement(arr)
-    prefixes = list(search.prefixes(i))
-    if threads <= 1:
-        nodes = 0
-        hit_any = False
-        for prefix in prefixes:
-            w, n, hit = search.run_prefix(i, prefix, budget)
-            nodes += n
-            hit_any |= hit
-            if w is not None:
-                return SearchResult(FOUND, w, nodes)
-        return SearchResult(UNKNOWN if hit_any else ABSENT, None, nodes)
-
-    tasks = [(i, prefix, budget) for prefix in prefixes]
-    with multiprocessing.Pool(
-        threads, initializer=_init_worker, initargs=(arr.point_lines,)
-    ) as pool:
-        outcomes = pool.map(_prefix_task, tasks)
-    nodes = sum(n for _, n, _ in outcomes)
-    for packed, _, _ in outcomes:  # prefix order = lexicographic = serial order
-        if packed is not None:
-            lines, points = packed
-            return SearchResult(FOUND, InducedCycleWitness(lines, points), nodes)
-    hit_any = any(hit for _, _, hit in outcomes)
-    return SearchResult(UNKNOWN if hit_any else ABSENT, None, nodes)
+    return _Search(arr).run(i, budget)
 
 
 def longest_cycle(
     arr: Arrangement,
     budget: int | None = None,
-    threads: int = 1,
 ) -> LongestResult:
     """
     Longest induced cycle via a descending scan from i = min(k, s).
@@ -466,7 +400,7 @@ def longest_cycle(
     _check_budget(budget)
     nodes = 0
     for i in range(min(arr.k, arr.s), 2, -1):
-        r = exists_cycle(arr, i, budget=budget, threads=threads)
+        r = exists_cycle(arr, i, budget=budget)
         nodes += r.nodes
         if r.status == FOUND:
             return LongestResult(FOUND, i, r.witness, nodes)
@@ -479,7 +413,6 @@ def spectrum(
     arr: Arrangement,
     i_max: int | None = None,
     budget: int | None = None,
-    threads: int = 1,
 ) -> CycleSpectrum:
     """Existence per length for i = 3 .. i_max (default min(k, s))."""
     _check_budget(budget)
@@ -487,8 +420,5 @@ def spectrum(
         i_max = min(arr.k, arr.s)
     elif not isinstance(i_max, int) or i_max < 3:
         raise BadLength(f"spectrum needs i_max >= 3, got {i_max!r}")
-    results = {
-        i: exists_cycle(arr, i, budget=budget, threads=threads)
-        for i in range(3, i_max + 1)
-    }
+    results = {i: exists_cycle(arr, i, budget=budget) for i in range(3, i_max + 1)}
     return CycleSpectrum(results)

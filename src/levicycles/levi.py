@@ -11,8 +11,8 @@ points and i lines.
 from __future__ import annotations
 
 import json
-
-import networkx as nx
+import math
+from collections import deque
 
 from .arrangement import Arrangement, ArrangementError
 
@@ -82,8 +82,15 @@ class LeviGraph:
     def __repr__(self) -> str:
         return f"LeviGraph(s={self.s}, k={self.k}, edges={self.n_edges})"
 
-    def to_networkx(self) -> nx.Graph:
-        """Plain graph with nodes 'x<i>' (points) and 'y<j>' (lines)."""
+    def to_networkx(self):
+        """
+        networkx graph with nodes 'x<i>' (points) and 'y<j>' (lines).
+
+        networkx is imported here, not at module level: it is a test-time
+        dependency only.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from((f"x{p}" for p in range(self.s)), bipartite=0)
         g.add_nodes_from((f"y{j}" for j in range(self.k)), bipartite=1)
@@ -103,20 +110,47 @@ def recover_arrangement(g: LeviGraph) -> Arrangement:
 
 
 def girth(g: LeviGraph) -> float:
-    """Length of a shortest cycle (inf for forests)."""
-    return nx.girth(g.to_networkx())
-
-
-def subdivide(g: nx.Graph) -> nx.Graph:
     """
-    Subdivide every edge of a simple graph once.
+    Length of a shortest cycle (inf for forests).
+
+    One breadth-first search per vertex.  A non-tree edge u-v closes a
+    cycle of length at most depth[u] + depth[v] + 1, which is exact when
+    the root lies on a shortest cycle; every cycle closed from u is at least
+    2 * depth[u] long, so a search stops once that reaches the best found.
+    """
+    adj = [[g.s + j for j in js] for js in g.point_adj] + [list(ps) for ps in g.line_adj]
+    best = math.inf
+    for root in range(len(adj)):
+        depth = {root: 0}
+        parent = {root: -1}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if 2 * depth[u] >= best:
+                break
+            for v in adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif v != parent[u]:
+                    best = min(best, depth[u] + depth[v] + 1)
+    return best
+
+
+def subdivide(g):
+    """
+    Subdivide every edge of a simple networkx graph once.
 
     The result is bipartite between original vertices and edge vertices
     ``('e', u, v)``.  Cycles of g correspond to cycles of twice the length;
     because chords are subdivided too, the lift of *any* cycle of g is an
     induced cycle of the subdivision, so the longest induced cycle of the
     output has length 2 * circumference(g) whenever g has a cycle.
+    networkx is imported here; only tests call this.
     """
+    import networkx as nx
+
     out = nx.Graph()
     out.add_nodes_from(g.nodes())
     for u, v in g.edges():

@@ -4,13 +4,15 @@ These are deliberately independent of the specialized arrangement solver in
 :mod:`levicycles.cycles`: they work on plain graphs at the vertex level, use
 no arrangement-specific pruning, and exist so the solver can be checked
 against a second implementation that shares no code with it.
+
+A graph is given as a mapping from each vertex to its neighbours (a
+networkx graph counts as one through ``g.adj``) or as an iterable of (u, v)
+edges; vertices are any hashable values.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
-import networkx as nx
+from typing import Hashable, Mapping
 
 __all__ = [
     "TooLarge",
@@ -26,18 +28,19 @@ class TooLarge(ValueError):
     """Raised when a graph exceeds the oracle's vertex cap."""
 
 
-def _as_graph(g) -> nx.Graph:
-    if isinstance(g, nx.Graph):
-        return g
-    return nx.Graph(g)
-
-
-def _indexed_adjacency(g: nx.Graph) -> tuple[list[Hashable], list[set[int]]]:
-    """Relabel vertices as 0..n-1 (sorted order) and return adjacency sets."""
-    nodes = sorted(g.nodes(), key=repr)
+def _indexed_adjacency(g) -> tuple[list[Hashable], list[set[int]]]:
+    """Relabel vertices as 0..n-1 (sorted by repr) and return adjacency sets."""
+    g = getattr(g, "adj", g)
+    if isinstance(g, Mapping):
+        edges = [(u, v) for u, nbrs in g.items() for v in nbrs]
+        order = list(g)
+    else:
+        edges = [(u, v) for u, v in g]
+        order = []
+    nodes = sorted(dict.fromkeys(order + [x for e in edges for x in e]), key=repr)
     index = {v: i for i, v in enumerate(nodes)}
     adj: list[set[int]] = [set() for _ in nodes]
-    for u, v in g.edges():
+    for u, v in edges:
         if u == v:
             continue
         adj[index[u]].add(index[v])
@@ -56,18 +59,17 @@ def oracle_induced_cycle_lengths(g, cap: int = DEFAULT_VERTEX_CAP) -> set[int]:
 
     Parameters
     ----------
-    g : networkx.Graph or data accepted by the nx.Graph constructor
+    g : mapping from each vertex to its neighbours, or iterable of edges
     cap : maximum vertex count accepted (guards against accidental blowups)
 
     Returns
     -------
     set of cycle lengths (number of vertices); empty if the graph is acyclic.
     """
-    graph = _as_graph(g)
-    n = graph.number_of_nodes()
+    _, adj = _indexed_adjacency(g)
+    n = len(adj)
     if n > cap:
         raise TooLarge(f"graph has {n} vertices, oracle cap is {cap}")
-    _, adj = _indexed_adjacency(graph)
 
     lengths: set[int] = set()
 
@@ -127,11 +129,10 @@ def circumference(g, cap: int = DEFAULT_VERTEX_CAP) -> int | None:
     subdivided away), so this is the quantity that the subdivision transform
     doubles.
     """
-    graph = _as_graph(g)
-    n = graph.number_of_nodes()
+    _, adj = _indexed_adjacency(g)
+    n = len(adj)
     if n > cap:
         raise TooLarge(f"graph has {n} vertices, oracle cap is {cap}")
-    _, adj = _indexed_adjacency(graph)
 
     best: int | None = None
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -196,11 +199,6 @@ def test_cycles_spectrum_below_three_is_usage_error(files, capsys, i_max):
     assert captured.err.startswith("error: ") and "i_max >= 3" in captured.err
 
 
-def test_cycles_threads_flag(files, capsys):
-    assert run(["cycles", files["cyclic_nine_three"], "--exists", "9", "--threads", "2"]) == EXIT_OK
-    assert capsys.readouterr().out == "length 18: found\n"
-
-
 def test_cycles_requires_mode(files):
     assert run(["cycles", files["mu4"]]) == EXIT_USAGE
 
@@ -229,6 +227,35 @@ def test_verify_named_claim_refuted(files, capsys):
     out = capsys.readouterr().out
     assert out.startswith("ceva-range: Refuted")
     assert "no induced cycle of length 18" in out
+
+
+def test_verify_named_claim_needs_no_file(capsys):
+    assert run(["verify", "--claim", "hesse-longest"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("hesse-longest: Confirmed")
+
+
+def test_verify_named_claim_ignores_file(capsys):
+    assert run(["verify", "/dev/null", "--claim", "ceva-range", "--n", "4"]) == EXIT_REFUTED
+    assert capsys.readouterr().out.startswith("ceva-range: Refuted")
+
+
+def test_verify_checker_requires_file(capsys):
+    assert run(["verify", "--claim", "c6"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert run(["verify", "--all"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_threads_flag_is_gone(files, capsys):
+    for argv in (
+        ["cycles", files["mu4"], "--exists", "3", "--threads", "2"],
+        ["verify", files["mu4"], "--claim", "c6", "--threads", "2"],
+        ["oracle-check", files["mu4"], "--threads", "2"],
+    ):
+        assert run(argv) == EXIT_USAGE
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_verify_named_claim_with_params(files, capsys):
@@ -295,6 +322,21 @@ def test_oracle_check_too_large(tmp_path, capsys):
 
 
 # -- top-level behavior
+
+
+def test_cli_import_loads_no_networkx_or_multiprocessing():
+    code = (
+        "import sys, levicycles.cli; "
+        "print(sorted({'networkx', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_no_arguments_is_usage_error():

@@ -415,26 +415,11 @@ def test_spectrum_json():
 # -- determinism and invariance
 
 
-def test_parallel_matches_serial():
-    arr = families.nine_three()
-    for i in (7, 8, 9):
-        serial = exists_cycle(arr, i)
-        parallel = exists_cycle(arr, i, threads=2)
-        assert parallel.status == serial.status
-        assert parallel.witness == serial.witness
-        if serial.status == ABSENT:
-            assert parallel.nodes == serial.nodes
-
-
-def test_parallel_longest_matches_serial():
-    arr = families.supersolvable_mu3(5)
-    serial = longest_cycle(arr)
-    parallel = longest_cycle(arr, threads=2)
-    assert (parallel.status, parallel.i, parallel.witness) == (
-        serial.status,
-        serial.i,
-        serial.witness,
-    )
+def test_budget_caps_whole_call():
+    # one node counter spans every root prefix, so the budget bounds the call
+    r = exists_cycle(families.supersolvable_mu3(5), 7, budget=100)
+    assert r.status == UNKNOWN
+    assert r.nodes <= 101
 
 
 @pytest.mark.parametrize("seed", [7, 8])

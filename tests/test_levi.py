@@ -1,4 +1,5 @@
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -52,6 +53,24 @@ def test_forest_girth_is_infinite():
 def test_girth_at_least_six_across_families():
     for arr in (families.near_pencil(6), families.mu4(), families.a_w_k(5, 1)):
         assert girth(build_levi(arr)) >= 6
+
+
+def test_girth_matches_networkx_on_families(full_pool):
+    for name, arr in full_pool + [("generic(2)", families.generic(2))]:
+        g = build_levi(arr)
+        assert girth(g) == nx.girth(g.to_networkx()), name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_girth_matches_networkx_on_random_graphs(seed):
+    # every point picks a line and every line a point: sparse bipartite
+    # graphs with 4-cycles, long cycles, forests and several components
+    rng = random.Random(seed)
+    s, k = rng.randint(6, 16), rng.randint(6, 16)
+    edges = {(p, rng.randrange(k)) for p in range(s)}
+    edges |= {(rng.randrange(s), j) for j in range(k)}
+    g = LeviGraph(s, k, edges)
+    assert girth(g) == nx.girth(g.to_networkx())
 
 
 def test_levigraph_rejects_bad_edges():

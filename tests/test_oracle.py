@@ -63,6 +63,25 @@ def test_accepts_edge_list_input():
     assert oracle_induced_cycle_lengths([(0, 1), (1, 2), (2, 0)]) == {3}
 
 
+def test_accepts_dict_of_lists_input():
+    # a Levi hexagon (the triangle arrangement) plus a pendant path, as
+    # adjacency lists naming points x<i> and lines y<j>
+    adj = {
+        "x0": ["y0", "y1"],
+        "x1": ["y1", "y2"],
+        "x2": ["y2", "y0"],
+        "y0": ["x0", "x2"],
+        "y1": ["x0", "x1"],
+        "y2": ["x1", "x2", "x3"],
+        "x3": ["y2"],
+    }
+    assert oracle_induced_cycle_lengths(adj) == {6}
+    assert circumference(adj) == 6
+    assert oracle_longest_induced_cycle({"a": [], "b": []}) is None
+    with pytest.raises(TooLarge):
+        oracle_induced_cycle_lengths({"a": [], "b": [], "c": []}, cap=2)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
 def test_matches_chordless_cycles_on_random_graphs(seed):
     g = nx.gnp_random_graph(9, 0.35, seed=seed)
