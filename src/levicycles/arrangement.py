@@ -113,7 +113,7 @@ class Arrangement:
         point_names: Sequence[str] | None = None,
         coordinates: Sequence | None = None,
     ) -> None:
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ArrangementError(f"line count must be a positive integer, got {k!r}")
         pts: list[frozenset[int]] = []
         for pid, lines in enumerate(point_lines):
@@ -388,12 +388,17 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
         if not isinstance(entry, dict) or "id" not in entry or "lines" not in entry:
             raise ArrangementError("each point needs 'id' and 'lines'")
         pid = entry["id"]
+        if not isinstance(pid, int) or isinstance(pid, bool) or not isinstance(entry["lines"], list):
+            raise ArrangementError(f"point {pid!r}: needs an integer 'id' and a list 'lines'")
         if pid in seen_ids:
             raise ArrangementError(f"duplicate point id {pid}")
         seen_ids.add(pid)
         by_id[pid] = entry["lines"]
     if seen_ids != set(range(len(entries))):
         raise ArrangementError("point ids must be exactly 0..s-1")
+    for key in ("line_names", "point_names"):
+        if not isinstance(doc.get(key, []), list):
+            raise ArrangementError(f"'{key}' must be a list")
     coordinates = None
     if "coordinates" in doc:
         from .projective import coordinates_from_payload

@@ -2,16 +2,20 @@
 
 Each checker evaluates its hypotheses directly on incidence data, runs the
 exhaustive induced-cycle solver for the conclusion, and packages the outcome
-as a :class:`ClaimReport`.  Verdicts follow a strict protocol:
+as a :class:`ClaimReport`.  Every solver call goes through one wrapper
+(``_Session.solve``), which totals the nodes of the report, and every claim
+about a set of lengths goes through one rule (:func:`_lengths_claim`):
 
-* ``Confirmed`` / ``Refuted`` are issued only on exhaustive solver evidence
-  (a validated witness for existence, a completed search for absence).  If
-  any solver call the verdict relies on hits its node budget, the verdict
-  degrades to ``Unknown`` instead.
-* ``NotApplicable`` means a hypothesis failed; the conclusion is not tested.
-* ``Refuted`` is a first-class outcome and carries the refuting certificate
-  (a witness that is too long, or the identity of an exhaustively absent
-  length).
+* ``NotApplicable``: a hypothesis failed; the conclusion is not tested.
+* ``Refuted``: an exhaustive answer contradicts the conclusion -- an absent
+  length for an existence claim, a validated witness for an absence claim.
+  The report carries that certificate.
+* ``Unknown``: nothing refutes, but some length hit the node budget.
+* ``Confirmed``: every length was settled the way the claim says.
+
+The longest-cycle claims compare the exhaustive maximum with the claimed
+value, and ``c10`` tests each matching case of its case analysis against one
+exhaustive answer; both degrade to ``Unknown`` when the budget runs out.
 """
 
 from __future__ import annotations
@@ -92,20 +96,7 @@ class ClaimReport:
         return all(h.holds for h in self.hypotheses)
 
     def to_json(self, indent: int | None = None) -> str:
-        doc = {
-            "claim": self.claim,
-            "hypotheses": [
-                {"name": h.name, "holds": h.holds, "evidence": h.evidence}
-                for h in self.hypotheses
-            ],
-            "verdict": self.verdict,
-            "witnesses": [asdict(w) for w in self.witnesses],
-            "notes": list(self.notes),
-            "nodes": self.nodes,
-            "budget": self.budget,
-            "wall_time": self.wall_time,
-        }
-        return json.dumps(doc, indent=indent)
+        return json.dumps(asdict(self), indent=indent)
 
     def summary(self) -> str:
         lines = [f"{self.claim}: {self.verdict}"]
@@ -121,28 +112,19 @@ class ClaimReport:
 
 
 class _Session:
-    """Accumulates solver calls for one report: node totals and budget hits."""
+    """Runs the solver calls of one report under its budget and totals their nodes."""
 
     def __init__(self, claim: str, budget: int | None) -> None:
         _check_budget(budget)
         self.claim = claim
         self.budget = budget
         self.nodes = 0
-        self.budget_hit = False
         self.started = time.perf_counter()
 
-    def exists(self, arr: Arrangement, i: int):
-        res = exists_cycle(arr, i, budget=self.budget)
+    def solve(self, search, arr: Arrangement, *args):
+        """``search(arr, *args, budget=...)``: exists_cycle or longest_cycle."""
+        res = search(arr, *args, budget=self.budget)
         self.nodes += res.nodes
-        if res.status == UNKNOWN:
-            self.budget_hit = True
-        return res
-
-    def longest(self, arr: Arrangement):
-        res = longest_cycle(arr, budget=self.budget)
-        self.nodes += res.nodes
-        if res.status == UNKNOWN:
-            self.budget_hit = True
         return res
 
     def report(
@@ -176,53 +158,43 @@ def _profile_evidence(arr: Arrangement) -> str:
     return ", ".join(f"t_{r} = {c}" for r, c in nz.items())
 
 
-def _range_verdict(session: _Session, arr: Arrangement, lengths: list[int]):
-    """Test existence for every i in lengths; return (verdict, witnesses, notes)."""
-    witnesses: list[InducedCycleWitness] = []
-    absent: list[int] = []
-    unknown: list[int] = []
-    for i in lengths:
-        res = session.exists(arr, i)
-        if res.status == FOUND:
-            witnesses.append(res.witness)
-        elif res.status == ABSENT:
-            absent.append(i)
-        else:
-            unknown.append(i)
-    notes: list[str] = []
-    if absent:
-        notes.append(
-            "exhaustive search found no induced cycle of length "
-            + ", ".join(str(2 * i) for i in absent)
-        )
-    if unknown:
-        notes.append(
-            "budget exhausted before settling length "
-            + ", ".join(str(2 * i) for i in unknown)
-        )
-    if absent:
-        verdict = REFUTED
-    elif unknown:
-        verdict = VERDICT_UNKNOWN
-    else:
-        verdict = CONFIRMED
-    return verdict, tuple(witnesses), tuple(notes)
+def _lengths_note(template: str, lengths: list[int]) -> tuple[str, ...]:
+    return (template.format(", ".join(map(str, lengths))),) if lengths else ()
 
 
-def _exists_claim(
-    session: _Session, hyps: tuple[Hypothesis, ...], arr: Arrangement, i: int
+def _lengths_claim(
+    session: _Session,
+    hyps: tuple[Hypothesis, ...],
+    arr: Arrangement,
+    lengths: range | list[int],
+    notes: tuple[str, ...] = (),
+    exist: bool = True,
 ) -> ClaimReport:
-    """Hypotheses imply an induced 2i-cycle: test it once they all hold."""
+    """
+    The hypotheses imply an induced 2i-cycle for every i in lengths (with
+    ``exist=False``: for none of them).  Test each length once they all hold.
+    """
     if not all(h.holds for h in hyps):
         return session.report(hyps, NOT_APPLICABLE)
-    res = session.exists(arr, i)
-    if res.status == FOUND:
-        return session.report(hyps, CONFIRMED, (res.witness,))
-    if res.status == UNKNOWN:
-        return session.report(hyps, VERDICT_UNKNOWN, notes=(f"budget exhausted at length {2 * i}",))
-    return session.report(
-        hyps, REFUTED, notes=(f"exhaustive search found no induced cycle of length {2 * i}",)
+    witnesses: list[InducedCycleWitness] = []
+    settled: dict[str, list[int]] = {FOUND: [], ABSENT: [], UNKNOWN: []}
+    for i in lengths:
+        res = session.solve(exists_cycle, arr, i)
+        settled[res.status].append(2 * i)
+        if res.status == FOUND:
+            witnesses.append(res.witness)
+    found, absent, unknown = settled[FOUND], settled[ABSENT], settled[UNKNOWN]
+    notes = (
+        tuple(notes)
+        + _lengths_note("exhaustive search found no induced cycle of length {}", absent)
+        + _lengths_note("induced cycle of length {} exists", [] if exist else found)
+        + _lengths_note("budget exhausted at length {}", unknown)
     )
+    if absent if exist else found:
+        verdict = REFUTED
+    else:
+        verdict = VERDICT_UNKNOWN if unknown else CONFIRMED
+    return session.report(hyps, verdict, tuple(witnesses), notes)
 
 
 def verify_c6(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
@@ -230,7 +202,7 @@ def verify_c6(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     session = _Session("c6", budget)
     tk = multiplicity_profile(arr).t_r(arr.k)
     hyp = Hypothesis("not all lines concurrent (t_k = 0)", tk == 0, f"t_{arr.k} = {tk}")
-    return _exists_claim(session, (hyp,), arr, 3)
+    return _lengths_claim(session, (hyp,), arr, [3])
 
 
 def verify_c8(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
@@ -243,7 +215,7 @@ def verify_c8(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
         Hypothesis("no k-fold point (t_k = 0)", tk == 0, f"t_{arr.k} = {tk}"),
         Hypothesis("no (k-1)-fold point (t_{k-1} = 0)", tk1 == 0, f"t_{arr.k - 1} = {tk1}"),
     )
-    return _exists_claim(session, hyps, arr, 4)
+    return _lengths_claim(session, hyps, arr, [4])
 
 
 def _has_common_point(arr: Arrangement, lines: list[int]) -> bool:
@@ -317,7 +289,7 @@ def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
             notes=("theorem out of scope: no case's side conditions match",),
         )
 
-    res = session.exists(arr, 5)
+    res = session.solve(exists_cycle, arr, 5)
     if res.status == UNKNOWN:
         return session.report(
             (hyp_k, scope), VERDICT_UNKNOWN, notes=("budget exhausted at length 10",)
@@ -394,8 +366,7 @@ def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimRep
                 f"k = {k} even, every line carries at most one double point: "
                 f"bound min(floor((k+11)/4), floor((2k+16)/7)) = {bound}"
             )
-    verdict, witnesses, notes = _range_verdict(session, arr, list(range(3, bound + 1)))
-    return session.report(hyps, verdict, witnesses, (branch,) + notes)
+    return _lengths_claim(session, hyps, arr, range(3, bound + 1), (branch,))
 
 
 def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
@@ -437,8 +408,7 @@ def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimRep
             notes.append(
                 f"part (ii) not applicable: q - 1 = {q - 1} divides k - 1 = {k - 1}"
             )
-    verdict, witnesses, more = _range_verdict(session, arr, list(range(3, bound + 1)))
-    return session.report((hyp,), verdict, witnesses, tuple(notes) + more)
+    return _lengths_claim(session, (hyp,), arr, range(3, bound + 1), tuple(notes))
 
 
 def verify_no_2k_supersolvable(
@@ -452,63 +422,44 @@ def verify_no_2k_supersolvable(
         bool(mods),
         "modular points: " + (", ".join(map(str, mods)) if mods else "none"),
     )
-    if not hyp.holds:
-        return session.report((hyp,), NOT_APPLICABLE)
-    if arr.k < 3:
+    if hyp.holds and arr.k < 3:
         return session.report(
             (hyp,), CONFIRMED,
             notes=(f"k = {arr.k} < 3: a 2k-cycle is shorter than the girth",),
         )
-    res = session.exists(arr, arr.k)
-    if res.status == ABSENT:
-        return session.report(
-            (hyp,), CONFIRMED,
-            notes=(f"exhaustive search: no induced cycle of length {2 * arr.k}",),
-        )
-    if res.status == FOUND:
-        return session.report(
-            (hyp,), REFUTED, (res.witness,),
-            notes=(f"induced cycle of length {2 * arr.k} exists",),
-        )
-    return session.report(
-        (hyp,), VERDICT_UNKNOWN, notes=(f"budget exhausted at length {2 * arr.k}",)
-    )
+    return _lengths_claim(session, (hyp,), arr, [arr.k], exist=False)
 
 
 def _longest_claim(session: _Session, hyps, arr: Arrangement, claimed: int, extra=()):
-    res = session.longest(arr)
+    res = session.solve(longest_cycle, arr)
+    verdict = REFUTED
     if res.status == UNKNOWN:
-        return session.report(
-            hyps, VERDICT_UNKNOWN,
-            notes=tuple(extra) + ("budget exhausted before the longest length settled",),
-        )
+        verdict, note = VERDICT_UNKNOWN, "budget exhausted before the longest length settled"
+    elif res.status == NO_INDUCED_CYCLE:
+        note = f"no induced cycle at all; claimed longest {claimed}"
+    elif res.length == claimed:
+        verdict, note = CONFIRMED, f"longest induced cycle length is {claimed} (exhaustive)"
+    else:
+        note = f"exhaustive longest induced cycle length is {res.length}, claimed {claimed}"
     witnesses = (res.witness,) if res.witness is not None else ()
-    if res.status == NO_INDUCED_CYCLE:
-        return session.report(
-            hyps, REFUTED,
-            notes=tuple(extra) + (f"no induced cycle at all; claimed longest {claimed}",),
-        )
-    if res.length == claimed:
-        return session.report(
-            hyps, CONFIRMED, witnesses,
-            notes=tuple(extra) + (f"longest induced cycle length is {claimed} (exhaustive)",),
-        )
-    return session.report(
-        hyps, REFUTED, witnesses,
-        notes=tuple(extra)
-        + (f"exhaustive longest induced cycle length is {res.length}, claimed {claimed}",),
-    )
+    return session.report(hyps, verdict, witnesses, tuple(extra) + (note,))
 
 
-NAMED_CLAIMS = (
-    "nine-three-longest",
-    "ten-line-longest",
-    "hesse-longest",
-    "mu4-longest",
-    "ceva-range",
-    "mu3-range",
-    "awk-max",
-)
+# Builders are named and looked up on ``families`` at call time, so a
+# wrapper installed on that module (a profiler, a tracer) sees the call.
+# claim id -> (builder, claimed longest induced cycle length)
+_LONGEST_CLAIMS = {
+    "nine-three-longest": ("nine_three", 14),
+    "ten-line-longest": ("ten_line", 18),
+    "hesse-longest": ("hesse", 12),
+    "mu4-longest": ("mu4", 8),
+}
+# claim id -> (parameter, builder, top i of the claimed range 4 <= i <= top)
+_RANGE_CLAIMS = {
+    "ceva-range": ("n", "ceva", lambda n: 2 * n + 1),
+    "mu3-range": ("m", "supersolvable_mu3", lambda m: 2 * m - 2),
+}
+NAMED_CLAIMS = (*_LONGEST_CLAIMS, *_RANGE_CLAIMS, "awk-max")
 
 _AWK_GUARD_M = 7
 
@@ -535,28 +486,17 @@ def verify_named_claim(
             raise families.BadParam(f"claim {claim!r} requires parameter {key!r}")
         return params[key]
 
-    if claim == "nine-three-longest":
-        return _longest_claim(session, (), families.nine_three(), 14)
-    if claim == "ten-line-longest":
-        return _longest_claim(session, (), families.ten_line(), 18)
-    if claim == "hesse-longest":
-        return _longest_claim(session, (), families.hesse(), 12)
-    if claim == "mu4-longest":
-        return _longest_claim(session, (), families.mu4(), 8)
+    if claim in _LONGEST_CLAIMS:
+        builder, claimed = _LONGEST_CLAIMS[claim]
+        return _longest_claim(session, (), getattr(families, builder)(), claimed)
 
-    if claim == "ceva-range":
-        n = need("n")
-        arr = families.ceva(n)
-        verdict, witnesses, notes = _range_verdict(session, arr, list(range(4, 2 * n + 2)))
-        claim_note = f"claimed: induced 2i-cycles for every 4 <= i <= {2 * n + 1}"
-        return session.report((), verdict, witnesses, (claim_note,) + notes)
-
-    if claim == "mu3-range":
-        m = need("m")
-        arr = families.supersolvable_mu3(m)
-        verdict, witnesses, notes = _range_verdict(session, arr, list(range(4, 2 * m - 1)))
-        claim_note = f"claimed: induced 2i-cycles for every 4 <= i <= {2 * m - 2}"
-        return session.report((), verdict, witnesses, (claim_note,) + notes)
+    if claim in _RANGE_CLAIMS:
+        key, builder, top = _RANGE_CLAIMS[claim]
+        value = need(key)
+        arr = getattr(families, builder)(value)
+        top_i = top(value)
+        claim_note = f"claimed: induced 2i-cycles for every 4 <= i <= {top_i}"
+        return _lengths_claim(session, (), arr, range(4, top_i + 1), (claim_note,))
 
     if claim == "awk-max":
         m = need("m")

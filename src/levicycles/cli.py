@@ -172,7 +172,7 @@ def _cmd_cycles(args) -> int:
 
 
 def _report_doc(report, timing: bool) -> dict:
-    doc = json.loads(report.to_json())
+    doc = asdict(report)
     if not timing:
         doc.pop("wall_time")
     return doc
@@ -316,3 +316,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -107,6 +107,22 @@ def generic(k: int) -> Arrangement:
     return Arrangement(k, pts, line_names=[f"L{j + 1}" for j in range(k)], point_names=names)
 
 
+def _ceva_triples(n: int, xy: int, xz: int, yz: dict[int, int]) -> tuple[list[set[int]], list[str]]:
+    """
+    The Ceva triple points T(i, j) = {XY_{(i-j) mod n}, XZ_i, YZ_j}, i outer.
+
+    XY_i and XZ_i are lines xy + i and xz + i; yz maps each exponent j, in
+    order, to the id of its YZ line.
+    """
+    pts: list[set[int]] = []
+    names: list[str] = []
+    for i in range(n):
+        for j, yz_line in yz.items():
+            pts.append({xy + (i - j) % n, xz + i, yz_line})
+            names.append(f"T({i},{j})")
+    return pts, names
+
+
 def ceva(n: int) -> Arrangement:
     """
     The 3n lines of (x^n - y^n)(y^n - z^n)(x^n - z^n).
@@ -121,12 +137,7 @@ def ceva(n: int) -> Arrangement:
         raise BadParam(f"ceva needs n >= 3, got {n!r}")
     if n == 3:
         warnings.warn("ceva(3): the n-fold vertices are themselves triple points (t_3 = 12)")
-    pts: list[set[int]] = []
-    names = []
-    for i in range(n):
-        for j in range(n):
-            pts.append({(i - j) % n, n + j, 2 * n + i})
-            names.append(f"T({i},{j})")
+    pts, names = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
     pts.append(set(range(n)))
     names.append("Nxy")
     pts.append(set(range(n, 2 * n)))
@@ -297,12 +308,7 @@ def supersolvable_mu3(m: int) -> Arrangement:
         raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
     n = m - 2
     lx, ly, lz = 3 * n, 3 * n + 1, 3 * n + 2
-    pts: list[set[int]] = []
-    names = []
-    for i in range(n):
-        for j in range(n):
-            pts.append({(i - j) % n, n + j, 2 * n + i})
-            names.append(f"T({i},{j})")
+    pts, names = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
     pts.append(set(range(n)) | {lx, ly})
     names.append("Mz")
     pts.append(set(range(n, 2 * n)) | {ly, lz})
@@ -327,6 +333,23 @@ def supersolvable_mu3(m: int) -> Arrangement:
     return Arrangement(3 * n + 3, pts, line_names=line_names, point_names=names)
 
 
+def _a_w_k_exponents(m: int, k: int, chosen: Sequence[int] | None) -> list[int]:
+    """Check the a_w_k parameters; return the chosen exponents in increasing order."""
+    if not isinstance(m, int) or m < 5:
+        raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
+    if not isinstance(k, int) or not 0 <= k <= m - 3:
+        raise BadParam(f"a_w_k needs 0 <= k <= m-3 = {m - 3}, got k={k!r}")
+    chosen = list(range(1, k + 1)) if chosen is None else list(chosen)
+    if len(chosen) != k:
+        raise BadParam(f"need exactly {k} exponents, got {len(chosen)}")
+    if len(set(chosen)) != len(chosen):
+        raise DuplicateExponent(f"duplicate exponents in {chosen}")
+    for e in chosen:
+        if not isinstance(e, int) or not 0 <= e <= m - 3:
+            raise ExponentOutOfRange(f"exponent {e!r} outside 0..{m - 3}")
+    return sorted(chosen)
+
+
 def a_w_k(m: int, k: int, chosen: Sequence[int] | None = None) -> Arrangement:
     """
     The supersolvable family xyz(x^n - y^n)(x^n - z^n) * prod(y - e^{i_j} z),
@@ -345,46 +368,28 @@ def a_w_k(m: int, k: int, chosen: Sequence[int] | None = None) -> Arrangement:
 
     Defaults: chosen = {1, ..., k}.
     """
-    if not isinstance(m, int) or m < 5:
-        raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
+    chosen = _a_w_k_exponents(m, k, chosen)
     n = m - 2
-    if not isinstance(k, int) or not 0 <= k <= m - 3:
-        raise BadParam(f"a_w_k needs 0 <= k <= m-3 = {m - 3}, got k={k!r}")
-    if chosen is None:
-        chosen = list(range(1, k + 1))
-    chosen = list(chosen)
-    if len(chosen) != k:
-        raise BadParam(f"need exactly {k} exponents, got {len(chosen)}")
-    if len(set(chosen)) != len(chosen):
-        raise DuplicateExponent(f"duplicate exponents in {chosen}")
-    for e in chosen:
-        if not isinstance(e, int) or not 0 <= e <= m - 3:
-            raise ExponentOutOfRange(f"exponent {e!r} outside 0..{m - 3}")
-    chosen = sorted(chosen)
-    xy = {i: 3 + i for i in range(n)}
-    xz = {i: 3 + n + i for i in range(n)}
+    xy, xz = 3, 3 + n
     yz = {e: 3 + 2 * n + idx for idx, e in enumerate(chosen)}
+    triples, triple_names = _ceva_triples(n, xy, xz, yz)
     pts: list[set[int]] = [
-        {0, 1} | set(xy.values()),
-        {0, 2} | set(xz.values()),
+        {0, 1} | set(range(xy, xy + n)),
+        {0, 2} | set(range(xz, xz + n)),
         {1, 2} | set(yz.values()),
+        *triples,
     ]
-    names = ["P001", "P010", "P100"]
-    chosen_set = set(chosen)
-    for i in range(n):
-        for j in chosen:
-            pts.append({xy[(i - j) % n], xz[i], yz[j]})
-            names.append(f"T({i},{j})")
+    names = ["P001", "P010", "P100", *triple_names]
     for i in range(n):
         for j in range(n):
-            if j not in chosen_set:
-                pts.append({xy[(i - j) % n], xz[i]})
+            if j not in yz:
+                pts.append({xy + (i - j) % n, xz + i})
                 names.append(f"D({i},{j})")
     for i in range(n):
-        pts.append({2, xy[i]})
+        pts.append({2, xy + i})
         names.append(f"Lz^XY{i}")
     for i in range(n):
-        pts.append({1, xz[i]})
+        pts.append({1, xz + i})
         names.append(f"Ly^XZ{i}")
     for j in chosen:
         pts.append({0, yz[j]})
@@ -508,12 +513,8 @@ def a_w_k_coordinate_lines(m: int, k: int, chosen: Sequence[int] | None = None):
     from .exact_field import CycloNumber
     from .projective import ProjLine
 
-    if not isinstance(m, int) or m < 5:
-        raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
+    chosen = _a_w_k_exponents(m, k, chosen)
     n = m - 2
-    if chosen is None:
-        chosen = list(range(1, k + 1))
-    chosen = sorted(chosen)
     zero, one = CycloNumber.zero(n), CycloNumber.one(n)
     lines = [
         ProjLine((one, zero, zero)),

@@ -204,6 +204,8 @@ def coordinates_from_payload(payload, k: int):
     if not isinstance(payload, dict) or "field" not in payload or "lines" not in payload:
         raise ArrangementError("coordinate payload needs 'field' and 'lines'")
     field = payload["field"]
+    if not isinstance(field, dict):
+        raise ArrangementError(f"coordinate field must be an object, got {field!r}")
     conductor = None
     if field.get("type") == "cyclotomic":
         conductor = field.get("conductor")
@@ -212,11 +214,16 @@ def coordinates_from_payload(payload, k: int):
     elif field.get("type") != "rational":
         raise ArrangementError(f"unknown coordinate field {field!r}")
     rows = payload["lines"]
+    if not isinstance(rows, list):
+        raise ArrangementError("coordinate 'lines' must be a list")
     if len(rows) != k:
         raise ArrangementError(f"coordinate payload has {len(rows)} lines, arrangement has {k}")
     out = []
-    for row in rows:
-        if len(row) != 3:
-            raise ArrangementError("each coordinate row needs 3 entries")
-        out.append(ProjLine(tuple(parse_scalar(text, conductor) for text in row)))
+    for j, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
+            raise ArrangementError(f"coordinate row {j}: need a list of 3 scalar strings")
+        try:
+            out.append(ProjLine(tuple(parse_scalar(text, conductor) for text in row)))
+        except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError
+            raise ArrangementError(f"coordinate row {j}: {exc}") from None
     return out

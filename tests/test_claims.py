@@ -347,3 +347,81 @@ def test_reports_are_deterministic():
     da, db = json.loads(a), json.loads(b)
     da.pop("wall_time"), db.pop("wall_time")
     assert da == db
+
+
+# -- the verdict rule
+
+
+def test_budget_zero_notes_share_one_wording():
+    cases = [
+        (verify_c6, families.nine_three(), "budget exhausted at length 6"),
+        (verify_t3_bounds, families.nine_three(), "budget exhausted at length 6, 8"),
+        (verify_tq_bounds, families.nine_three(), "budget exhausted at length 6, 8"),
+        (verify_no_2k_supersolvable, families.near_pencil(5), "budget exhausted at length 10"),
+    ]
+    for verify, arr, note in cases:
+        report = verify(arr, budget=0)
+        assert report.verdict == VERDICT_UNKNOWN, report.claim
+        assert report.notes[-1] == note, report.claim
+
+
+def test_no_2k_notes_name_the_deciding_search():
+    refuted = verify_no_2k_supersolvable(families.generic(3))
+    assert refuted.verdict == REFUTED
+    assert refuted.notes == ("induced cycle of length 6 exists",)
+    confirmed = verify_no_2k_supersolvable(families.near_pencil(5))
+    assert confirmed.verdict == CONFIRMED
+    assert confirmed.notes == ("exhaustive search found no induced cycle of length 10",)
+
+
+def test_named_claims_order():
+    assert NAMED_CLAIMS == (
+        "nine-three-longest",
+        "ten-line-longest",
+        "hesse-longest",
+        "mu4-longest",
+        "ceva-range",
+        "mu3-range",
+        "awk-max",
+    )
+
+
+# Verdicts of all_checkers (c6, c8, c10, t3-bounds, tq-bounds,
+# no-2k-supersolvable; C = Confirmed, R = Refuted, N = NotApplicable,
+# U = Unknown) and their total node count, unbudgeted and at budget 50.
+GOLDEN_VERDICTS = {
+    "near_pencil(4)": ("CNNCRC", 24, "CNNCRC", 24),
+    "near_pencil(5)": ("CNNNCC", 14, "CNNNCC", 14),
+    "near_pencil(6)": ("CNNNCC", 19, "CNNNCC", 19),
+    "near_pencil(7)": ("CNNNCC", 25, "CNNNCC", 25),
+    "near_pencil(8)": ("CNNNCC", 32, "CNNNCC", 32),
+    "two_modular(2,3)": ("CNNCRC", 22, "CNNCRC", 22),
+    "two_modular(3,4)": ("CCNNCC", 39, "CCNNCC", 39),
+    "two_modular(5,6)": ("CCCNCC", 786, "CUUNCC", 151),
+    "generic(3)": ("CNNNNR", 4, "CNNNNR", 4),
+    "generic(4)": ("CCNNNN", 5, "CCNNNN", 5),
+    "generic(5)": ("CCNNNN", 5, "CCNNNN", 5),
+    "ceva(3)": ("CCNCCN", 18, "CCNCCN", 18),
+    "nine_three": ("CCNCCN", 15, "CCNCCN", 15),
+    "ten_line": ("CCNCCN", 23, "CCNCCN", 23),
+    "mu4": ("CCNCCC", 33, "CCNCCC", 33),
+    "a_w_k(5,0)": ("CCNNCC", 84, "CCNNCC", 84),
+    "a_w_k(5,1)": ("CCRNCC", 287, "CCUNCC", 104),
+    "hesse": ("CCNNCN", 12, "CCNNCN", 12),
+    "ceva(4)": ("CCNNCN", 12, "CCNNCN", 12),
+    "ceva(5)": ("CCNNCN", 12, "CCNNCN", 12),
+    "supersolvable_mu3(5)": ("CCNNCC", 77, "CCNNCU", 60),
+    "supersolvable_mu3(6)": ("CCNNCC", 117, "CCNNCU", 60),
+    "a_w_k(6,2)": ("CCNNCC", 86, "CCNNCU", 59),
+}
+_LETTER = {CONFIRMED: "C", REFUTED: "R", NOT_APPLICABLE: "N", VERDICT_UNKNOWN: "U"}
+
+
+def test_golden_verdicts_and_nodes(full_pool):
+    assert [name for name, _ in full_pool] == list(GOLDEN_VERDICTS)
+    for name, arr in full_pool:
+        got = ()
+        for budget in (None, 50):
+            reports = all_checkers(arr, budget=budget)
+            got += ("".join(_LETTER[r.verdict] for r in reports), sum(r.nodes for r in reports))
+        assert got == GOLDEN_VERDICTS[name], name

@@ -7,6 +7,7 @@ import pytest
 
 from levicycles import families
 from levicycles.arrangement import arrangement_to_json
+from levicycles.projective import arrangement_from_lines
 from levicycles.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
 
 from conftest import cyclic_nine_three
@@ -82,6 +83,53 @@ def test_stats_rejects_invalid_arrangement(tmp_path, capsys):
     bad.write_text('{"k": 3, "points": [{"id": 0, "lines": [0, 2]}]}', encoding="utf-8")
     assert run(["stats", str(bad)]) == EXIT_USAGE
     assert "invalid arrangement" in capsys.readouterr().err
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return mutate
+
+
+def _lone_line_with_bool_k(doc):
+    # A lone line has no points, so nothing but k is wrong.
+    doc.clear()
+    doc.update({"k": True, "points": []})
+
+
+# Malformed documents derived from mu4 with its rational coordinates; each
+# used to end in a traceback (or, for a boolean k, to be accepted).
+HOSTILE_DOCUMENTS = [
+    ("point-lines-int", ["stats"], _set("points", 0, "lines", 5)),
+    ("line-names-int", ["levi", "--json"], _set("line_names", 7)),
+    ("bad-scalar", ["cycles", "--exists", "3"], _set("coordinates", "lines", 0, 1, "1+*x")),
+    ("zero-denominator", ["stats"], _set("coordinates", "lines", 0, 1, "1/0")),
+    ("zero-triple", ["verify", "--all"], _set("coordinates", "lines", 0, ["0", "0", "0"])),
+    ("field-string", ["oracle-check"], _set("coordinates", "field", "q")),
+    ("k-bool", ["stats"], _lone_line_with_bool_k),
+    ("point-id-list", ["stats"], _set("points", 0, "id", [0])),
+    ("coordinate-row-int", ["stats"], _set("coordinates", "lines", 0, 5)),
+    ("scalar-int", ["stats"], _set("coordinates", "lines", 0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, mutate", [case[1:] for case in HOSTILE_DOCUMENTS], ids=[case[0] for case in HOSTILE_DOCUMENTS]
+)
+def test_hostile_document_is_usage_error(tmp_path, capsys, command, mutate):
+    doc = json.loads(arrangement_to_json(arrangement_from_lines(families.mu4_coordinate_lines())))
+    mutate(doc)
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([command[0], str(path), *command[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_missing_file(capsys):
@@ -337,6 +385,17 @@ def test_cli_import_loads_no_networkx_or_multiprocessing():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out == "[]\n"
+
+
+def test_module_runs_as_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "levicycles.cli", "verify", "--claim", "hesse-longest"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("hesse-longest: Confirmed")
 
 
 def test_no_arguments_is_usage_error():

@@ -179,6 +179,23 @@ def test_a_w_k_coordinates_match_builder(args):
     assert same_incidences(arr, families.a_w_k(*args))
 
 
+@pytest.mark.parametrize(
+    "m, k, chosen, error",
+    [
+        (5, 1, [7], ExponentOutOfRange),
+        (5, 1, [-1], ExponentOutOfRange),
+        (6, 1, [0, 1], BadParam),
+        (6, 2, [1, 1], DuplicateExponent),
+    ],
+    ids=["exponent-7", "exponent-minus-1", "two-exponents-for-k-1", "repeated-exponent"],
+)
+def test_a_w_k_coordinate_lines_reject_what_the_builder_rejects(m, k, chosen, error):
+    for build in (families.a_w_k, families.a_w_k_coordinate_lines):
+        with pytest.raises(BadParam) as info:
+            build(m, k, chosen)
+        assert type(info.value) is error, build.__name__
+
+
 def test_coordinate_incidences_are_exact():
     # every recorded singular point really lies on all of its lines
     from levicycles.projective import incident, meet
