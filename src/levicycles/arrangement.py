@@ -34,11 +34,22 @@ __all__ = [
     "relabeled",
     "arrangement_to_json",
     "arrangement_from_json",
+    "MAX_LINES",
 ]
+
+# Largest line count arrangement_from_json accepts.  validate_arrangement is
+# quadratic in k, and a document at this bound with few points loads, or is
+# rejected, in about 0.02 s.  The Python constructors stay unbounded.
+MAX_LINES = 256
 
 
 class ArrangementError(ValueError):
     """Malformed incidence data (bad ids, multiplicity < 2, duplicates)."""
+
+
+def _is_index(value, bound: int) -> bool:
+    """An id in 0..bound-1: an int, but not a bool (JSON true is not line 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
 
 
 @dataclass(frozen=True)
@@ -118,14 +129,14 @@ class Arrangement:
         pts: list[frozenset[int]] = []
         for pid, lines in enumerate(point_lines):
             lines = list(lines)
+            for j in lines:
+                if not _is_index(j, k):
+                    raise ArrangementError(f"point {pid}: line id {j!r} is not an integer in 0..{k - 1}")
             fs = frozenset(lines)
             if len(fs) != len(lines):
                 raise ArrangementError(f"point {pid}: duplicate incidence in {sorted(lines)}")
             if len(fs) < 2:
                 raise ArrangementError(f"point {pid}: multiplicity {len(fs)} < 2")
-            for j in fs:
-                if not isinstance(j, int) or not 0 <= j < k:
-                    raise ArrangementError(f"point {pid}: line id {j!r} out of range 0..{k - 1}")
             pts.append(fs)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "point_lines", tuple(pts))
@@ -369,8 +380,9 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     Parse the interchange format.
 
     Rejects malformed documents (missing keys, duplicate or gapped point ids,
-    duplicate incidences) and, when ``require_valid`` holds, any structure
-    failing :func:`validate_arrangement`.
+    duplicate incidences, more than :data:`MAX_LINES` lines) and, when
+    ``require_valid`` holds, any structure failing
+    :func:`validate_arrangement`.
     """
     try:
         doc = json.loads(text)
@@ -379,6 +391,8 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     if not isinstance(doc, dict) or "k" not in doc or "points" not in doc:
         raise ArrangementError("document must be an object with 'k' and 'points'")
     k = doc["k"]
+    if isinstance(k, int) and k > MAX_LINES:
+        raise ArrangementError(f"line count {k} exceeds the limit of {MAX_LINES}")
     entries = doc["points"]
     if not isinstance(entries, list):
         raise ArrangementError("'points' must be a list")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .arrangement import Arrangement, ArrangementError, ValidationReport
+from .arrangement import Arrangement, ArrangementError, ValidationReport, _is_index
 from .levi import build_levi
 
 __all__ = [
@@ -102,8 +102,8 @@ class InducedCycleWitness:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ArrangementError(f"not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or not {"lines", "points"} <= set(doc):
-            raise ArrangementError("witness JSON needs 'lines' and 'points'")
+        if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in ("lines", "points")):
+            raise ArrangementError("witness JSON needs 'lines' and 'points' lists")
         return cls(tuple(doc["lines"]), tuple(doc["points"]))
 
 
@@ -135,10 +135,10 @@ def validate_witness(arr: Arrangement, w: InducedCycleWitness) -> ValidationRepo
 
     checks["range"] = True
     for j in w.lines:
-        if not (isinstance(j, int) and 0 <= j < arr.k):
+        if not _is_index(j, arr.k):
             fail("range", f"unknown line {j!r}")
     for p in w.points:
-        if not (isinstance(p, int) and 0 <= p < arr.s):
+        if not _is_index(p, arr.s):
             fail("range", f"unknown point {p!r}")
     if failures:
         return ValidationReport(checks, tuple(failures))

@@ -4,7 +4,19 @@ Rationals are plain :class:`fractions.Fraction`.  A :class:`CycloNumber` is
 an element of Q(e) with e a primitive n-th root of unity, stored as a
 rational-coefficient polynomial in e reduced modulo the n-th cyclotomic
 polynomial.  All equality and zero tests are exact; nothing here ever touches
-floating point.
+floating point.  One polynomial division, :func:`_divmod`, builds the
+cyclotomic polynomials, reduces every arithmetic result and drives the
+extended-Euclid inverse.
+
+Scalars travel as text in one grammar for both fields (:func:`format_scalar`
+writes it, :func:`parse_scalar` reads it): a signed sum of terms ``a``,
+``a/b``, ``e``, ``e^k``, ``a*e^k`` and ``a/b*e^k`` in decimal digits, such as
+``-3/2`` or ``1/2*e^2-e+3``.  A rational scalar is exactly one constant term
+``[+-]a[/b]``; decimals, exponent notation (``1e5``) and ``_`` separators are
+not part of the grammar.  Python's limit on integer-string digits (4300 by
+default) caps each coefficient.  Arrangement documents also bound the
+conductor (``projective.MAX_CONDUCTOR``) and the line count
+(``arrangement.MAX_LINES``); values built in Python are unbounded.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "ConductorMismatch",
     "cyclotomic_polynomial",
     "CycloNumber",
@@ -24,26 +35,39 @@ __all__ = [
     "format_scalar",
 ]
 
-Rational = Fraction
+_ZERO = Fraction(0)
 
 
 class ConductorMismatch(ValueError):
     """Mixed ``CycloNumber`` conductors in one operation."""
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Exact division of integer polynomials (ascending coefficients);
-    # the divisor must be monic, which every cyclotomic polynomial is.
-    assert den[-1] == 1
+def _divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """
+    Quotient and remainder of two polynomials (ascending int or Fraction
+    coefficients) over Q.
+
+    ``den`` must have a nonzero leading coefficient.  A monic ``den`` (every
+    cyclotomic polynomial) is never divided by, so integer input stays
+    integer.  The remainder has its trailing zeros stripped: the zero
+    polynomial comes back as ``[]``.
+    """
     num = list(num)
-    quo = [0] * max(1, len(num) - len(den) + 1)
+    deg = len(den) - 1
+    lead = den[-1]
+    monic = lead == 1
+    terms = [(i, d) for i, d in enumerate(den) if d]
+    quo = [0] * max(1, len(num) - deg)
     for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1]
+        c = num[shift + deg]
         if c:
+            if not monic:
+                c = c / lead
             quo[shift] = c
-            for i, d in enumerate(den):
+            for i, d in terms:
                 num[shift + i] -= c * d
-    while len(num) > 1 and num[-1] == 0:
+    del num[deg:]
+    while num and not num[-1]:
         num.pop()
     return quo, num
 
@@ -64,27 +88,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     work[0], work[n] = -1, 1  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            work, rem = _poly_divmod(work, cyclotomic_polynomial(d))
-            assert rem == [0], f"non-exact division building Phi_{n}"
+            work, rem = _divmod(work, cyclotomic_polynomial(d))
+            assert not rem, f"non-exact division building Phi_{n}"
     return tuple(work)
-
-
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def _reduce_mod_phi(n: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for shift in range(len(coeffs) - len(phi), -1, -1):
-        c = coeffs[shift + deg]
-        if c:
-            for i, d in enumerate(phi):
-                coeffs[shift + i] -= c * d
-    coeffs = coeffs[:deg]
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return tuple(coeffs)
 
 
 class CycloNumber:
@@ -99,9 +105,10 @@ class CycloNumber:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: Iterable[Fraction | int]) -> None:
+        phi = cyclotomic_polynomial(n)
+        _, rem = _divmod([Fraction(c) for c in coeffs], phi)
         object.__setattr__(self, "n", n)
-        vals = [Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", _reduce_mod_phi(n, vals))
+        object.__setattr__(self, "coeffs", tuple(rem) + (_ZERO,) * (len(phi) - 1 - len(rem)))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CycloNumber is immutable")
@@ -189,40 +196,19 @@ class CycloNumber:
         """Multiplicative inverse via extended Euclid on (self, Phi_n) in Q[x]."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # r0 = Phi_n, r1 = self; maintain t-coefficients with r_i = s_i*Phi + t_i*self.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        r1 = list(self.coeffs)
-        while len(r1) > 1 and not r1[-1]:
-            r1.pop()
-        t0: list[Fraction] = [Fraction(0)]
-        t1: list[Fraction] = [Fraction(1)]
-
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while len(p) > 1 and not p[-1]:
-                p.pop()
-            return p
-
-        while r1 != [Fraction(0)]:
-            # quotient of r0 by r1 in Q[x]
-            quo = [Fraction(0)] * max(1, len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for shift in range(len(rem) - len(r1), -1, -1):
-                c = rem[shift + len(r1) - 1] / r1[-1]
-                if c:
-                    quo[shift] = c
-                    for i, d in enumerate(r1):
-                        rem[shift + i] -= c * d
-            rem = trim(rem)
-            # t_next = t0 - quo * t1
-            tn = [Fraction(0)] * max(len(t0), len(quo) + len(t1) - 1)
-            for i, a in enumerate(t0):
-                tn[i] += a
+        # Invariant: r_i = t_i * self (mod Phi_n).  The first step only
+        # swaps, since deg self < deg Phi_n, and strips self's zero top terms.
+        r0, r1 = list(self.coeffs), [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        t0, t1 = [1], [0]
+        while r1:
+            quo, rem = _divmod(r0, r1)
+            tn = t0 + [0] * (len(quo) + len(t1) - 1 - len(t0))
             for i, a in enumerate(quo):
                 if a:
                     for j, b in enumerate(t1):
                         tn[i + j] -= a * b
-            r0, r1 = trim(list(r1)), rem
-            t0, t1 = t1, trim(tn)
+            r0, r1 = r1, rem
+            t0, t1 = t1, tn
         # r0 is now the gcd; Phi_n irreducible over Q => gcd is a nonzero constant.
         g = r0[0]
         assert len(r0) == 1 and g != 0, "cyclotomic polynomial must be coprime to nonzero elements"
@@ -290,66 +276,52 @@ def format_scalar(value) -> str:
         return str(Fraction(value))
     if not isinstance(value, CycloNumber):
         raise TypeError(f"cannot format {type(value).__name__}")
-    terms = []
+    out = ""
     for exp in range(len(value.coeffs) - 1, -1, -1):
         c = value.coeffs[exp]
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
-        if exp == 0:
-            body = str(mag)
-        else:
-            e = "e" if exp == 1 else f"e^{exp}"
-            body = e if mag == 1 else f"{mag}*{e}"
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += sign + body
-    return out
+        e = "e" if exp == 1 else f"e^{exp}"
+        body = str(mag) if exp == 0 else e if mag == 1 else f"{mag}*{e}"
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
 
 
 def parse_scalar(text: str, conductor: int | None = None):
     """
     Parse the output of :func:`format_scalar`.
 
-    With ``conductor`` set, returns a CycloNumber (rational strings embed as
-    constants); otherwise returns a Fraction and rejects any 'e' terms.
+    The text is a signed sum of terms ``a``, ``a/b``, ``e``, ``e^k``,
+    ``a*e^k`` or ``a/b*e^k`` (decimal digits only), every term after the
+    first starting with ``+`` or ``-``.  With ``conductor`` set, returns a
+    CycloNumber, reducing e^k by e^n = 1 and modulo Phi_n.  Without it, the
+    text must be one constant term ``[+-]a[/b]`` and a Fraction comes back;
+    ``e`` terms, decimals, exponent notation and ``_`` separators all raise
+    ValueError, and a zero denominator raises ZeroDivisionError.
     """
+    if conductor is not None:
+        cyclotomic_polynomial(conductor)  # rejects a bad conductor up front
     text = text.strip()
-    if conductor is None:
-        return Fraction(text)
-    deg = _phi_degree(conductor)
-    coeffs = [Fraction(0)] * max(deg, 1)
-    if text in ("0", "-0", "+0"):
-        return CycloNumber(conductor, coeffs)
+    coeffs: dict[int, Fraction] = {}
     pos = 0
-    found = False
     while pos < len(text):
         match = _TERM_RE.match(text, pos)
         if not match or match.end() == pos:
             raise ValueError(f"cannot parse scalar {text!r} at offset {pos}")
-        if found and match.group("sign") is None:
+        power = match.group("pow1") or match.group("pow2")
+        if conductor is None and (power or coeffs):
+            raise ValueError(f"a rational scalar is one constant term, got {text!r}")
+        if coeffs and match.group("sign") is None:
             raise ValueError(f"missing sign between terms in {text!r}")
-        sign = -1 if match.group("sign") == "-" else 1
-        if match.group("coef") is not None:
-            coef = Fraction(match.group("coef"))
-            exp = 0
-            if match.group("pow1"):
-                exp = int(match.group("exp1") or 1)
-        else:
-            coef = Fraction(1)
-            exp = int(match.group("exp2") or 1)
-        exp %= conductor
-        term = [Fraction(0)] * (exp + 1)
-        term[exp] = sign * coef
-        reduced = CycloNumber(conductor, term)
-        coeffs = [a + b for a, b in zip(coeffs, reduced.coeffs)]
-        found = True
+        coef = Fraction(match.group("coef") or 1)
+        if match.group("sign") == "-":
+            coef = -coef
+        exp = int(match.group("exp1") or match.group("exp2") or 1) % conductor if power else 0
+        coeffs[exp] = coeffs.get(exp, 0) + coef
         pos = match.end()
-    if not found:
+    if not coeffs:
         raise ValueError(f"cannot parse scalar {text!r}")
-    return CycloNumber(conductor, coeffs)
+    if conductor is None:
+        return coeffs[0]
+    return CycloNumber(conductor, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])

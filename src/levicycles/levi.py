@@ -14,7 +14,7 @@ import json
 import math
 from collections import deque
 
-from .arrangement import Arrangement, ArrangementError
+from .arrangement import MAX_LINES, Arrangement, ArrangementError, _is_index
 
 __all__ = [
     "LeviGraph",
@@ -47,9 +47,9 @@ class LeviGraph:
         la: list[set[int]] = [set() for _ in range(k)]
         seen = set()
         for p, j in edges:
-            if not (isinstance(p, int) and 0 <= p < s):
+            if not _is_index(p, s):
                 raise ArrangementError(f"edge references unknown point {p!r}")
-            if not (isinstance(j, int) and 0 <= j < k):
+            if not _is_index(j, k):
                 raise ArrangementError(f"edge references unknown line {j!r}")
             if (p, j) in seen:
                 raise ArrangementError(f"duplicate edge ({p}, {j})")
@@ -195,7 +195,10 @@ def levi_from_json(text: str) -> LeviGraph:
         raise ArrangementError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not {"s", "k", "edges"} <= set(doc):
         raise ArrangementError("document must be an object with 's', 'k', 'edges'")
-    edges = doc["edges"]
-    if not isinstance(edges, list) or any(len(e) != 2 for e in edges):
+    s, k, edges = doc["s"], doc["k"], doc["edges"]
+    # A valid arrangement of at most MAX_LINES lines has at most C(MAX_LINES, 2) points.
+    if not _is_index(k, MAX_LINES + 1) or not _is_index(s, math.comb(MAX_LINES, 2) + 1):
+        raise ArrangementError(f"'s' and 'k' must be integers in 0..{math.comb(MAX_LINES, 2)} and 0..{MAX_LINES}")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ArrangementError("'edges' must be a list of [point, line] pairs")
-    return LeviGraph(doc["s"], doc["k"], [tuple(e) for e in edges])
+    return LeviGraph(s, k, [tuple(e) for e in edges])

@@ -27,7 +27,12 @@ __all__ = [
     "arrangement_from_lines",
     "coordinates_to_payload",
     "coordinates_from_payload",
+    "MAX_CONDUCTOR",
 ]
+
+# Largest conductor coordinates_from_payload accepts.  Phi_n costs time and
+# memory superlinear in n, and every field operation grows with deg Phi_n.
+MAX_CONDUCTOR = 32
 
 
 class GeometryError(ValueError):
@@ -50,37 +55,24 @@ def _normalize_triple(coords) -> tuple:
     """Validate a homogeneous triple (uniform field) and canonicalize it."""
     if len(coords) != 3:
         raise GeometryError(f"need 3 homogeneous coordinates, got {len(coords)}")
-    vals = []
     conductor = None
-    any_cyclo = False
     for c in coords:
         if isinstance(c, CycloNumber):
-            any_cyclo = True
             if conductor is None:
                 conductor = c.n
             elif c.n != conductor:
                 raise ConductorMismatch(f"mixed conductors {conductor} and {c.n}")
-            vals.append(c)
-        elif isinstance(c, (int, Fraction)):
-            vals.append(Fraction(c))
-        else:
+        elif not isinstance(c, (int, Fraction)):
             raise GeometryError(f"unsupported coordinate type {type(c).__name__}")
-    if any_cyclo:
-        vals = [
-            v if isinstance(v, CycloNumber) else CycloNumber.from_rational(conductor, v)
-            for v in vals
-        ]
-        nonzero = [v for v in vals if not v.is_zero]
-        if not nonzero:
-            raise GeometryError("all three homogeneous coordinates are zero")
-        lead = nonzero[0]
-        inv = lead.inverse()
-        return tuple(v * inv for v in vals)
-    nonzero = [v for v in vals if v != 0]
-    if not nonzero:
+    if conductor is None:
+        vals = [Fraction(c) for c in coords]
+    else:
+        vals = [c if isinstance(c, CycloNumber) else CycloNumber.from_rational(conductor, c) for c in coords]
+    lead = next((v for v in vals if v), None)
+    if lead is None:
         raise GeometryError("all three homogeneous coordinates are zero")
-    lead = nonzero[0]
-    return tuple(v / lead for v in vals)
+    inv = 1 / lead if conductor is None else lead.inverse()
+    return tuple(v * inv for v in vals)
 
 
 class _Homogeneous:
@@ -121,14 +113,10 @@ def _cross(u, v) -> tuple:
     )
 
 
-def _is_zero_triple(t) -> bool:
-    return all((c.is_zero if isinstance(c, CycloNumber) else c == 0) for c in t)
-
-
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines (coordinate cross product)."""
     raw = _cross(l1.coords, l2.coords)
-    if _is_zero_triple(raw):
+    if not any(raw):
         raise IdenticalLines(f"{l1!r} and {l2!r} are the same projective line")
     return ProjPoint(raw)
 
@@ -136,7 +124,7 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (dual cross product)."""
     raw = _cross(p1.coords, p2.coords)
-    if _is_zero_triple(raw):
+    if not any(raw):
         raise IdenticalPoints(f"{p1!r} and {p2!r} are the same projective point")
     return ProjLine(raw)
 
@@ -144,10 +132,10 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
 def incident(p: ProjPoint, l: ProjLine) -> bool:
     """Exact incidence test: a*x + b*y + c*z = 0."""
     total = p.coords[0] * l.coords[0] + p.coords[1] * l.coords[1] + p.coords[2] * l.coords[2]
-    return total.is_zero if isinstance(total, CycloNumber) else total == 0
+    return not total
 
 
-def arrangement_from_lines(lines: Sequence[ProjLine], line_names: Sequence[str] | None = None) -> Arrangement:
+def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
     """
     The incidence structure of a list of pairwise distinct lines.
 
@@ -171,12 +159,7 @@ def arrangement_from_lines(lines: Sequence[ProjLine], line_names: Sequence[str] 
             through.setdefault(p, set()).add(i)
             through[p].add(j)
     ordered = sorted(through.items(), key=lambda item: sorted(item[1]))
-    return Arrangement(
-        len(lines),
-        [m for _, m in ordered],
-        line_names=line_names,
-        coordinates=lines,
-    )
+    return Arrangement(len(lines), [m for _, m in ordered], coordinates=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +168,11 @@ def arrangement_from_lines(lines: Sequence[ProjLine], line_names: Sequence[str] 
 
 
 def coordinates_to_payload(lines) -> dict:
-    conductor = None
-    for line in lines:
-        for c in line.coords:
-            if isinstance(c, CycloNumber):
-                conductor = c.n
-                break
-        if conductor is not None:
-            break
-    payload: dict = {
+    conductor = next((c.n for line in lines for c in line.coords if isinstance(c, CycloNumber)), None)
+    return {
         "field": {"type": "rational"} if conductor is None else {"type": "cyclotomic", "conductor": conductor},
         "lines": [[format_scalar(c) for c in line.coords] for line in lines],
     }
-    return payload
 
 
 def coordinates_from_payload(payload, k: int):
@@ -209,8 +184,8 @@ def coordinates_from_payload(payload, k: int):
     conductor = None
     if field.get("type") == "cyclotomic":
         conductor = field.get("conductor")
-        if not isinstance(conductor, int) or conductor < 1:
-            raise ArrangementError(f"bad conductor {conductor!r}")
+        if not isinstance(conductor, int) or isinstance(conductor, bool) or not 1 <= conductor <= MAX_CONDUCTOR:
+            raise ArrangementError(f"conductor must be an integer in 1..{MAX_CONDUCTOR}, got {conductor!r}")
     elif field.get("type") != "rational":
         raise ArrangementError(f"unknown coordinate field {field!r}")
     rows = payload["lines"]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from levicycles.arrangement import (
+    MAX_LINES,
     Arrangement,
     ArrangementError,
     arrangement_from_json,
@@ -57,11 +58,23 @@ def test_default_and_custom_names():
         (3, [(0, 0, 1)]),
         (3, [(0, 3)]),
         (3, [(0, -1)]),
+        # a boolean would alias line 0 or 1; a list used to raise TypeError
+        (2, [(True, 0)]),
+        (2, [(0, False)]),
+        (2, [([0], 1)]),
+        (2, [(0, 1.0)]),
     ],
 )
 def test_constructor_rejects_bad_shape(k, points):
     with pytest.raises(ArrangementError):
         Arrangement(k, points)
+
+
+def test_json_line_count_bound():
+    at_bound = arrangement_from_json(json.dumps({"k": MAX_LINES, "points": []}), require_valid=False)
+    assert at_bound.k == MAX_LINES
+    with pytest.raises(ArrangementError, match="exceeds"):
+        arrangement_from_json(json.dumps({"k": MAX_LINES + 1, "points": []}), require_valid=False)
 
 
 def test_constructor_rejects_bad_names():

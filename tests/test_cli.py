@@ -7,7 +7,7 @@ import pytest
 
 from levicycles import families
 from levicycles.arrangement import arrangement_to_json
-from levicycles.projective import arrangement_from_lines
+from levicycles.projective import MAX_CONDUCTOR, arrangement_from_lines
 from levicycles.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
 
 from conftest import cyclic_nine_three
@@ -102,8 +102,17 @@ def _lone_line_with_bool_k(doc):
     doc.update({"k": True, "points": []})
 
 
+def _replace_with(new_doc):
+    def mutate(doc):
+        doc.clear()
+        doc.update(new_doc)
+
+    return mutate
+
+
 # Malformed documents derived from mu4 with its rational coordinates; each
-# used to end in a traceback (or, for a boolean k, to be accepted).
+# used to end in a traceback (or, for a boolean k or line id or a large
+# conductor, to be accepted).
 HOSTILE_DOCUMENTS = [
     ("point-lines-int", ["stats"], _set("points", 0, "lines", 5)),
     ("line-names-int", ["levi", "--json"], _set("line_names", 7)),
@@ -115,6 +124,11 @@ HOSTILE_DOCUMENTS = [
     ("point-id-list", ["stats"], _set("points", 0, "id", [0])),
     ("coordinate-row-int", ["stats"], _set("coordinates", "lines", 0, 5)),
     ("scalar-int", ["stats"], _set("coordinates", "lines", 0, 1, 1)),
+    ("line-id-list", ["stats"], _replace_with({"k": 2, "points": [{"id": 0, "lines": [[0], 1]}]})),
+    ("line-id-bool", ["stats"], _replace_with({"k": 2, "points": [{"id": 0, "lines": [True, 0]}]})),
+    ("scalar-exponent", ["stats"], _set("coordinates", "lines", 0, 0, "1e1000")),
+    ("conductor-above-bound", ["stats"],
+     _set("coordinates", "field", {"type": "cyclotomic", "conductor": MAX_CONDUCTOR + 1})),
 ]
 
 

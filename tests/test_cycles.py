@@ -50,7 +50,7 @@ def test_witness_length_and_json_roundtrip():
 
 @pytest.mark.parametrize(
     "text",
-    ["nope", "[]", '{"lines": [0, 1, 2]}', '{"points": [0, 1, 2]}'],
+    ["nope", "[]", '{"lines": [0, 1, 2]}', '{"points": [0, 1, 2]}', '{"lines": 5, "points": []}'],
 )
 def test_witness_from_json_rejects_malformed(text):
     with pytest.raises(ArrangementError):
@@ -110,6 +110,17 @@ def test_validate_range_failures():
     assert not validate_witness(
         arr, InducedCycleWitness((0, 1, 2), (0, 1, 99))
     ).checks["range"]
+
+
+def test_validate_rejects_boolean_ids():
+    # (0, 1, 2) / (0, 2, 1) is a valid triangle of mu4; true and false must
+    # not stand in for line 1 and point 0.
+    arr = families.mu4()
+    assert validate_witness(arr, InducedCycleWitness((0, 1, 2), (0, 2, 1))).passed
+    for w in (InducedCycleWitness((0, True, 2), (0, 2, 1)), InducedCycleWitness((0, 1, 2), (False, 2, 1))):
+        report = validate_witness(arr, w)
+        assert not report.checks["range"]
+        assert not report.passed
 
 
 def test_validate_distinctness_failure():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levicycles.exact_field import (
     ConductorMismatch,
@@ -195,3 +197,59 @@ def test_parse_rejects_garbage():
 def test_parse_handles_high_exponents():
     # e^7 in Q(zeta_4) wraps to e^3 = -e
     assert parse_scalar("e^7", conductor=4) == -CycloNumber.root(4)
+
+
+@pytest.mark.parametrize("text", ["1e5", "1E3", "1.5", "1_000", "e^0", "1+2", "e", "1*e^0", "+", "1/"])
+def test_parse_without_conductor_accepts_one_constant_term_only(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("+7", 7), ("-3/6", Fraction(-1, 2)), (" 12/5 ", Fraction(12, 5))])
+def test_parse_without_conductor_constants(text, value):
+    assert parse_scalar(text) == value
+
+
+# Property tests: derandomized, no example database, bounded example counts.
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+small_fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+
+
+@st.composite
+def cyclo_numbers(draw):
+    n = draw(st.integers(1, 16))
+    return CycloNumber(n, draw(st.lists(small_fractions, max_size=n + 2)))
+
+
+@PROPERTY
+@given(cyclo_numbers())
+def test_property_cyclo_format_parse_roundtrip(x):
+    assert parse_scalar(format_scalar(x), x.n) == x
+
+
+@PROPERTY
+@given(small_fractions)
+def test_property_fraction_format_parse_roundtrip(x):
+    assert parse_scalar(format_scalar(x)) == x
+
+
+@PROPERTY
+@given(cyclo_numbers())
+def test_property_inverse(x):
+    assume(x)
+    assert x * x.inverse() == 1
+    assert x.inverse() * x == 1
+
+
+@PROPERTY
+@given(
+    st.text(alphabet=st.sampled_from("0123456789+-*/^eE._ x\t") | st.characters(), max_size=24),
+    st.none() | st.integers(1, 16),
+)
+def test_property_parse_raises_only_value_errors(text, conductor):
+    try:
+        value = parse_scalar(text, conductor)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert parse_scalar(format_scalar(value), conductor) == value

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,7 @@ import networkx as nx
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import ArrangementError
+from levicycles.arrangement import MAX_LINES, ArrangementError
 from levicycles.levi import (
     LeviGraph,
     build_levi,
@@ -166,8 +167,29 @@ def test_json_roundtrip():
         '{"s": 1, "k": 2, "edges": 5}',
         '{"s": 1, "k": 2, "edges": [[0]]}',
         '{"s": 1, "k": 2, "edges": [[0, 5]]}',
+        '{"s": 1, "k": 1, "edges": [5]}',
+        '{"s": "1", "k": 2, "edges": []}',
+        '{"s": 1, "k": true, "edges": []}',
+        '{"s": -1, "k": 2, "edges": []}',
     ],
 )
 def test_json_rejects_malformed(text):
     with pytest.raises(ArrangementError):
         levi_from_json(text)
+
+
+def test_json_rejects_counts_above_bound():
+    with pytest.raises(ArrangementError):
+        levi_from_json(json.dumps({"s": 0, "k": MAX_LINES + 1, "edges": []}))
+    with pytest.raises(ArrangementError):
+        levi_from_json(json.dumps({"s": math.comb(MAX_LINES, 2) + 1, "k": 2, "edges": []}))
+    assert levi_from_json(json.dumps({"s": 0, "k": MAX_LINES, "edges": []})).k == MAX_LINES
+
+
+def test_boolean_edge_ids_rejected():
+    with pytest.raises(ArrangementError):
+        LeviGraph(1, 2, [(0, True), (0, 0)])
+    with pytest.raises(ArrangementError):
+        LeviGraph(2, 1, [(True, 0), (0, 0)])
+    with pytest.raises(ArrangementError):
+        levi_from_json('{"s": 1, "k": 2, "edges": [[0, true], [0, 0]]}')

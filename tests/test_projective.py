@@ -6,6 +6,7 @@ from levicycles import families
 from levicycles.arrangement import ArrangementError, arrangement_from_json, arrangement_to_json
 from levicycles.exact_field import ConductorMismatch, CycloNumber
 from levicycles.projective import (
+    MAX_CONDUCTOR,
     DuplicateLine,
     GeometryError,
     IdenticalLines,
@@ -150,6 +151,15 @@ def test_cyclotomic_payload_roundtrip():
 def test_payload_errors(payload, k):
     with pytest.raises(ArrangementError):
         coordinates_from_payload(payload, k)
+
+
+def test_payload_conductor_bound():
+    rows = [["1", "0", "0"], ["0", "1", "0"]]
+    at_bound = coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": MAX_CONDUCTOR}, "lines": rows}, 2)
+    assert at_bound[0].coords[0] == CycloNumber.one(MAX_CONDUCTOR)
+    for conductor in (MAX_CONDUCTOR + 1, True):
+        with pytest.raises(ArrangementError, match="conductor"):
+            coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": conductor}, "lines": rows}, 2)
 
 
 def test_arrangement_json_carries_coordinates():
