@@ -306,10 +306,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ArrangementError, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ArrangementError, TooLarge, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

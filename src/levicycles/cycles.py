@@ -5,8 +5,9 @@ points, so the search runs over *line sequences*: extend a partial sequence
 (j1, p1, j2, ..., jt) by a point on jt lying on no earlier chosen line, then
 by a new line through that point avoiding every chosen point.  Closing
 requires the meet of the last and first lines to avoid all interior lines.
-Inducedness is maintained incrementally with incidence bitsets, so accepted
-sequences never need a post-hoc filter.
+Inducedness is maintained incrementally with the arrangement's own incidence
+bitsets (``line_masks``, ``point_masks``), so accepted sequences never need a
+post-hoc filter and a call builds no table of its own.
 
 Symmetry is broken by canonical form: the first line is the smallest chosen
 line and the second is smaller than the last, which kills the dihedral
@@ -228,13 +229,16 @@ class _BudgetHit(Exception):
     pass
 
 
-class _Search:
+def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     """
     Canonical line-sequence DFS over one arrangement.
 
-    All incidence tests are bitmask operations: lmask[j] is the point set of
-    line j, pmask[p] the line set through p, pair[a][b] the unique meet of
-    lines a and b.
+    All incidence tests are bitmask operations on the arrangement's own
+    views: lmask[j] is the point set of line j, pmask[p] the line set
+    through p, and the meet of lines a and b is the single bit of
+    ``lmask[a] & lmask[b]`` (its highest bit where the data breaks pair
+    coverage).  j1 is the cycle minimum, so only j2 > j1 can follow it in a
+    root prefix (j1, p1, j2).
 
     The recursion carries ``hit``, the OR of pmask[q] over every chosen
     point q: the set of lines through some chosen point.  Every chosen line
@@ -247,57 +251,11 @@ class _Search:
     ``hit | pmask[p]``, and an exit point p is skipped when
     ``above & ~(hit | pmask[p])`` has fewer lines than are still needed.
     """
+    lmask, pmask = arr.line_masks, arr.point_masks
+    nodes = 0
 
-    def __init__(self, arr: Arrangement) -> None:
-        self.k = arr.k
-        self.lmask = arr.line_masks
-        self.pmask = arr.point_masks
-        pair = [[-1] * arr.k for _ in range(arr.k)]
-        for p, fs in enumerate(arr.point_lines):
-            for a in fs:
-                for b in fs:
-                    if a != b:
-                        pair[a][b] = p
-        self.pair = pair
-        self.line_points = [sorted(ps) for ps in arr.line_points]
-
-    def run(self, i: int, budget: int | None) -> SearchResult:
-        """
-        Exhaust the root prefixes (j1, p1, j2) in lexicographic order and
-        return the first witness.  j1 is the cycle minimum, so only j2 > j1
-        can follow.  One node counter spans every prefix; passing the budget
-        ends the search as Unknown.
-        """
-        self._i = i
-        self._budget = budget
-        self._nodes = 0
-        lmask, pmask = self.lmask, self.pmask
-        try:
-            for j1 in range(self.k):
-                self._j1 = j1
-                self._above = ((1 << self.k) - 1) >> (j1 + 1) << (j1 + 1)
-                for p1 in self.line_points[j1]:
-                    rest = pmask[p1] & self._above
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        j2 = low.bit_length() - 1
-                        w = self._rec(
-                            [j1, j2],
-                            [p1],
-                            (1 << j1) | low,
-                            pmask[p1],
-                            lmask[j1],
-                            lmask[j1] | lmask[j2],
-                        )
-                        if w is not None:
-                            return SearchResult(FOUND, w, self._nodes)
-        except _BudgetHit:
-            return SearchResult(UNKNOWN, None, self._nodes)
-        return SearchResult(ABSENT, None, self._nodes)
-
-    def _rec(
-        self,
+    # j1 and above are set by the root loop below, once per first line
+    def rec(
         seq: list[int],
         pts: list[int],
         chosen_lines: int,
@@ -305,23 +263,23 @@ class _Search:
         cover_prev: int,
         cover_all: int,
     ) -> InducedCycleWitness | None:
-        self._nodes += 1
-        if self._budget is not None and self._nodes > self._budget:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
             raise _BudgetHit
-        i, tip, j1 = self._i, seq[-1], self._j1
+        tip = seq[-1]
         if len(seq) == i:
             # close: the meet of the last and first lines must avoid every
             # interior line (which also forces it off all chosen points)
             if tip <= seq[1]:
                 return None
-            pc = self.pair[tip][j1]
-            if pc >= 0 and self.pmask[pc] & chosen_lines == (1 << j1) | (1 << tip):
+            pc = (lmask[tip] & lmask[j1]).bit_length() - 1
+            if pc >= 0 and pmask[pc] & chosen_lines == (1 << j1) | (1 << tip):
                 return InducedCycleWitness(tuple(seq), tuple(pts + [pc]))
             return None
 
         final = len(seq) == i - 1
         remaining = i - len(seq) - 1  # lines still needed after the next one
-        lmask, pmask, above = self.lmask, self.pmask, self._above
         avail = lmask[tip] & ~cover_prev
         while avail:
             pb = avail & -avail
@@ -341,14 +299,32 @@ class _Search:
                     continue  # no exit point: cand would dead-end
                 seq.append(cand)
                 pts.append(p)
-                w = self._rec(
-                    seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand]
-                )
+                w = rec(seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand])
                 if w is not None:
                     return w
                 seq.pop()
                 pts.pop()
         return None
+
+    try:
+        for j1 in range(arr.k):
+            above = ((1 << arr.k) - 1) >> (j1 + 1) << (j1 + 1)
+            firsts = lmask[j1]
+            while firsts:
+                b1 = firsts & -firsts
+                firsts ^= b1
+                p1 = b1.bit_length() - 1
+                rest = pmask[p1] & above
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    j2 = low.bit_length() - 1
+                    w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2])
+                    if w is not None:
+                        return SearchResult(FOUND, w, nodes)
+    except _BudgetHit:
+        return SearchResult(UNKNOWN, None, nodes)
+    return SearchResult(ABSENT, None, nodes)
 
 
 def _check_i(i: int) -> None:
@@ -359,10 +335,9 @@ def _check_i(i: int) -> None:
 
 
 def _check_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
-        raise ArrangementError(
-            f"budget must be a non-negative node count, got {budget}"
-        )
+    # the rule ids follow: an int, but not a bool (True is not one node)
+    if budget is not None and (not isinstance(budget, int) or isinstance(budget, bool) or budget < 0):
+        raise ArrangementError(f"budget must be a non-negative node count, got {budget!r}")
 
 
 def exists_cycle(
@@ -382,7 +357,7 @@ def exists_cycle(
     _check_budget(budget)
     if i > min(arr.k, arr.s):
         return SearchResult(ABSENT, None, 0)
-    return _Search(arr).run(i, budget)
+    return _search(arr, i, budget)
 
 
 def longest_cycle(

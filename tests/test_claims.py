@@ -306,6 +306,17 @@ def test_negative_budget_rejected():
         all_checkers(families.nine_three(), budget=-1)
 
 
+@pytest.mark.parametrize("budget", ["5", 2.5, True])
+def test_budget_of_wrong_type_rejected(budget):
+    # budgets follow the rule for ids: None, or a non-bool int >= 0
+    with pytest.raises(ArrangementError, match="non-negative"):
+        verify_c6(pencil(), budget=budget)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        verify_named_claim("nine-three-longest", budget=budget)
+    with pytest.raises(ArrangementError, match="non-negative"):
+        all_checkers(families.nine_three(), budget=budget)
+
+
 def test_budget_zero_keeps_not_applicable():
     # hypothesis checks never consult the solver, so the verdict stands
     assert verify_c6(pencil(), budget=0).verdict == NOT_APPLICABLE

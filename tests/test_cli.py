@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levicycles import families
 from levicycles.arrangement import arrangement_to_json
@@ -149,6 +153,71 @@ def test_hostile_document_is_usage_error(tmp_path, capsys, command, mutate):
 def test_missing_file(capsys):
     assert run(["stats", "/nonexistent/thing.json"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfebad")
+    assert run(["stats", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 300) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_scalar = st.sampled_from(["0", "1", "-1", "2/3", "1/0", "e", "e^2", "1+e", "x"]) | _json_value
+_point = st.fixed_dictionaries(
+    {"id": st.integers(0, 5) | _json_value, "lines": st.lists(st.integers(0, 5) | _json_value, max_size=4)}
+)
+_document = st.fixed_dictionaries(
+    {
+        "k": st.integers(-1, 6) | _json_value,
+        "points": st.lists(_point | _json_value, max_size=6) | _json_value,
+    },
+    optional={
+        "line_names": st.lists(_json_value, max_size=6) | _json_value,
+        "point_names": st.lists(_json_value, max_size=6) | _json_value,
+        "coordinates": st.fixed_dictionaries(
+            {
+                "field": st.sampled_from([{"type": "rational"}, {"type": "cyclotomic", "conductor": 3}])
+                | _json_value,
+                "lines": st.lists(st.lists(_scalar, min_size=3, max_size=3) | _json_value, max_size=6)
+                | _json_value,
+            }
+        ),
+    },
+)
+# valid documents, whole or with one top-level key replaced
+_VALID = [
+    json.loads(arrangement_to_json(arr))
+    for arr in (families.generic(3), families.near_pencil(4), arrangement_from_lines(families.mu4_coordinate_lines()))
+]
+_near_miss = st.sampled_from(_VALID) | st.builds(
+    lambda doc, key, value: {**doc, key: value},
+    st.sampled_from(_VALID),
+    st.sampled_from(["k", "points", "line_names", "point_names", "coordinates"]),
+    _json_value,
+)
+_FUZZ_COMMANDS = (["stats"], ["levi", "--json"], ["cycles", "--exists", "3", "--budget", "1000"])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.binary(max_size=40) | (_document | _near_miss).map(lambda doc: json.dumps(doc).encode("utf-8")))
+@example(b"[" * 100_000)
+def test_fuzz_file_surface_exits_cleanly(tmp_path_factory, data):
+    # Random bytes and arrangement-shaped JSON may only end in exit 0-3, and
+    # a usage error always says why; any exception escaping run() fails here.
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    for command in _FUZZ_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command[0], str(path), *command[1:]])
+        assert code in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE, EXIT_UNKNOWN)
+        if code == EXIT_USAGE:
+            assert err.getvalue().startswith("error: ")
 
 
 # -- levi
