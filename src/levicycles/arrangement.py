@@ -53,6 +53,14 @@ def _is_index(value, bound: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
 
 
+def _load_json(text: str):
+    """json.loads, with undecodable input raised as ArrangementError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder caps nesting by recursion
+        raise ArrangementError(f"not valid JSON: {exc}") from None
+
+
 @dataclass(frozen=True)
 class MultiplicityProfile:
     """Point-multiplicity census: t[r] = number of r-fold points."""
@@ -370,10 +378,7 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     ``require_valid`` holds, any structure failing
     :func:`validate_arrangement`.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder caps nesting by recursion
-        raise ArrangementError(f"not valid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or "k" not in doc or "points" not in doc:
         raise ArrangementError("document must be an object with 'k' and 'points'")
     k = doc["k"]

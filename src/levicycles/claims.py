@@ -146,13 +146,8 @@ class _Session:
         )
 
 
-def _nonzero_profile(arr: Arrangement) -> dict[int, int]:
-    prof = multiplicity_profile(arr)
-    return {r: c for r, c in sorted(prof.t.items()) if c}
-
-
 def _profile_evidence(arr: Arrangement) -> str:
-    nz = _nonzero_profile(arr)
+    nz = multiplicity_profile(arr).t
     if not nz:
         return "no intersection points"
     return ", ".join(f"t_{r} = {c}" for r, c in nz.items())
@@ -336,7 +331,7 @@ def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimRep
     session = _Session("t3-bounds", budget)
     prof = multiplicity_profile(arr)
     t3 = prof.t_r(3)
-    high = {r: c for r, c in prof.t.items() if r > 3 and c}
+    high = {r: c for r, c in prof.t.items() if r > 3}
     hyps = (
         Hypothesis("some triple point (t_3 != 0)", t3 > 0, f"t_3 = {t3}"),
         Hypothesis(
@@ -380,8 +375,7 @@ def verify_tq_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimRep
     does not apply, only part (i) is tested and a note records why.
     """
     session = _Session("tq-bounds", budget)
-    prof = multiplicity_profile(arr)
-    nz = _nonzero_profile(arr)
+    nz = multiplicity_profile(arr).t
     q = max(nz, default=0)
     hyp = Hypothesis("maximal multiplicity at least three", q >= 3, f"q = {q}")
     if not hyp.holds:

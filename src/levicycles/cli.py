@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict
 
 from .arrangement import (
+    MAX_LINES,
     ArrangementError,
     arrangement_from_json,
     arrangement_to_json,
@@ -158,6 +159,10 @@ def _cmd_cycles(args) -> int:
             if args.witness and res.witness is not None:
                 print(_witness_line(res.witness))
         return EXIT_UNKNOWN if res.status == UNKNOWN else EXIT_OK
+    # A loadable document has at most MAX_LINES lines, so every longer length
+    # is absent by counting; refusing larger N keeps the work bounded.
+    if args.spectrum > MAX_LINES:
+        raise ArrangementError(f"--spectrum needs MAX <= {MAX_LINES}, got {args.spectrum}")
     sp = spectrum(arr, i_max=args.spectrum, budget=budget)
     if args.format == "json":
         print(sp.to_json(indent=2))

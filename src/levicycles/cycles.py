@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .arrangement import Arrangement, ArrangementError, ValidationReport, _is_index
+from .arrangement import Arrangement, ArrangementError, ValidationReport, _is_index, _load_json
 from .levi import build_levi
 
 __all__ = [
@@ -99,10 +99,7 @@ class InducedCycleWitness:
 
     @classmethod
     def from_json(cls, text: str) -> InducedCycleWitness:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArrangementError(f"not valid JSON: {exc}") from None
+        doc = _load_json(text)
         if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in ("lines", "points")):
             raise ArrangementError("witness JSON needs 'lines' and 'points' lists")
         return cls(tuple(doc["lines"]), tuple(doc["points"]))

@@ -13,9 +13,13 @@ witnesses mentioning ids stay reproducible across runs and versions.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Sequence
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
-from .arrangement import Arrangement, ArrangementError
+from .arrangement import Arrangement, ArrangementError, _is_index
+from .exact_field import CycloNumber
+from .projective import ProjLine
 
 __all__ = [
     "BadParam",
@@ -53,6 +57,22 @@ class DuplicateExponent(BadParam):
     pass
 
 
+def _arrangement(k: int, points: Mapping[str, Iterable[int]],
+                 line_names: Sequence[str] | None = None, base: int = 0) -> Arrangement:
+    """
+    The arrangement whose points, in table order, are the entries of the
+    name -> lines table ``points``.  ``base`` is the number of the first line
+    in the table (1 for the published 1-based tables); lines default to
+    L1..Lk.
+    """
+    return Arrangement(
+        k,
+        [{j - base for j in lines} for lines in points.values()],
+        line_names=[f"L{j + 1}" for j in range(k)] if line_names is None else line_names,
+        point_names=list(points),
+    )
+
+
 def near_pencil(k: int) -> Arrangement:
     """
     k lines, the first k-1 concurrent.
@@ -63,12 +83,9 @@ def near_pencil(k: int) -> Arrangement:
     """
     if not isinstance(k, int) or k < 3:
         raise BadParam(f"near_pencil needs k >= 3, got {k!r}")
-    pts: list[Iterable[int]] = [range(k - 1)]
-    names = ["C"]
-    for i in range(k - 1):
-        pts.append({k - 1, i})
-        names.append(f"L{k}^L{i + 1}")
-    return Arrangement(k, pts, line_names=[f"L{j + 1}" for j in range(k)], point_names=names)
+    points: dict[str, Iterable[int]] = {"C": range(k - 1)}
+    points.update({f"L{k}^L{i + 1}": (i, k - 1) for i in range(k - 1)})
+    return _arrangement(k, points)
 
 
 def two_modular(a: int, b: int) -> Arrangement:
@@ -84,43 +101,28 @@ def two_modular(a: int, b: int) -> Arrangement:
     if not (isinstance(a, int) and isinstance(b, int) and 2 <= a < b):
         raise BadParam(f"two_modular needs 2 <= a < b, got a={a!r}, b={b!r}")
     k = a + b - 1
-    pts: list[set[int]] = [set(range(a)), {0} | set(range(a, k))]
-    names = ["P1", "P2"]
-    for i in range(1, a):
-        for j in range(a, k):
-            pts.append({i, j})
-            names.append(f"A{i}B{j - a + 1}")
+    points: dict[str, Iterable[int]] = {"P1": range(a), "P2": [0, *range(a, k)]}
+    points.update({f"A{i}B{j - a + 1}": (i, j) for i in range(1, a) for j in range(a, k)})
     line_names = ["L0"] + [f"A{i}" for i in range(1, a)] + [f"B{j}" for j in range(1, b)]
-    return Arrangement(k, pts, line_names=line_names, point_names=names)
+    return _arrangement(k, points, line_names)
 
 
 def generic(k: int) -> Arrangement:
     """k lines in general position: C(k,2) double points, ids in (i,j) lex order."""
     if not isinstance(k, int) or k < 2:
         raise BadParam(f"generic needs k >= 2, got {k!r}")
-    pts = []
-    names = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pts.append({i, j})
-            names.append(f"p{i}-{j}")
-    return Arrangement(k, pts, line_names=[f"L{j + 1}" for j in range(k)], point_names=names)
+    return _arrangement(k, {f"p{i}-{j}": (i, j) for i, j in combinations(range(k), 2)})
 
 
-def _ceva_triples(n: int, xy: int, xz: int, yz: dict[int, int]) -> tuple[list[set[int]], list[str]]:
+def _ceva_triples(n: int, xy: int, xz: int, yz: dict[int, int]) -> dict[str, Iterable[int]]:
     """
     The Ceva triple points T(i, j) = {XY_{(i-j) mod n}, XZ_i, YZ_j}, i outer.
 
     XY_i and XZ_i are lines xy + i and xz + i; yz maps each exponent j, in
     order, to the id of its YZ line.
     """
-    pts: list[set[int]] = []
-    names: list[str] = []
-    for i in range(n):
-        for j, yz_line in yz.items():
-            pts.append({xy + (i - j) % n, xz + i, yz_line})
-            names.append(f"T({i},{j})")
-    return pts, names
+    return {f"T({i},{j})": (xy + (i - j) % n, xz + i, yz_line)
+            for i in range(n) for j, yz_line in yz.items()}
 
 
 def ceva(n: int) -> Arrangement:
@@ -137,15 +139,9 @@ def ceva(n: int) -> Arrangement:
         raise BadParam(f"ceva needs n >= 3, got {n!r}")
     if n == 3:
         warnings.warn("ceva(3): the n-fold vertices are themselves triple points (t_3 = 12)")
-    pts, names = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
-    pts.append(set(range(n)))
-    names.append("Nxy")
-    pts.append(set(range(n, 2 * n)))
-    names.append("Nyz")
-    pts.append(set(range(2 * n, 3 * n)))
-    names.append("Nxz")
-    line_names = [f"XY{i}" for i in range(n)] + [f"YZ{i}" for i in range(n)] + [f"XZ{i}" for i in range(n)]
-    return Arrangement(3 * n, pts, line_names=line_names, point_names=names)
+    points = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
+    points.update(Nxy=range(n), Nyz=range(n, 2 * n), Nxz=range(2 * n, 3 * n))
+    return _arrangement(3 * n, points, [f"{p}{i}" for p in ("XY", "YZ", "XZ") for i in range(n)])
 
 
 # The Hesse arrangement: 12 lines, nine 4-fold points, twelve doubles.  The
@@ -173,14 +169,10 @@ def hesse() -> Arrangement:
     doubles in group order (1,2),(1,3),(2,3),(4,5),...,(10,12) (ids 9..20).
     Every line carries exactly three 4-fold points and two doubles.
     """
-    pts: list[set[int]] = [set(x - 1 for x in quad) for quad in _HESSE_QUADRUPLES]
-    names = [f"p{i + 1}" for i in range(9)]
+    points = {f"p{i + 1}": quad for i, quad in enumerate(_HESSE_QUADRUPLES)}
     for group in _HESSE_DOUBLE_GROUPS:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                pts.append({group[a] - 1, group[b] - 1})
-                names.append(f"p{group[a]}{group[b]}")
-    return Arrangement(12, pts, line_names=[f"L{j + 1}" for j in range(12)], point_names=names)
+        points.update({f"p{a}{b}": (a, b) for a, b in combinations(group, 2)})
+    return _arrangement(12, points, base=1)
 
 
 # The (9_3) configuration whose nine double points form a 6-cycle and a
@@ -221,10 +213,8 @@ def nine_three() -> Arrangement:
     triangle (L3 L5 L6).  Point ids follow the table: triples e1..e9 are ids
     0..8, doubles e10..e18 are ids 9..17.  Profile: t_2 = 9, t_3 = 9, s = 18.
     """
-    pts = [set(x - 1 for x in tri) for tri in _NINE_THREE_TRIPLES]
-    pts += [set(x - 1 for x in dbl) for dbl in _NINE_THREE_DOUBLES]
-    names = [f"e{i + 1}" for i in range(18)]
-    return Arrangement(9, pts, line_names=[f"L{j + 1}" for j in range(9)], point_names=names)
+    table = _NINE_THREE_TRIPLES + _NINE_THREE_DOUBLES
+    return _arrangement(9, {f"e{i + 1}": pt for i, pt in enumerate(table)}, base=1)
 
 
 # The cyclic (9_3) configuration, whose nine double points form a single
@@ -265,10 +255,8 @@ def ten_line() -> Arrangement:
     (ids 12..20).  Profile: t_2 = 9, t_3 = 12, s = 21.  PAPER.md does not
     settle whether this is the ten-line arrangement of the source.
     """
-    pts = [set(x - 1 for x in tri) for tri in _TEN_LINE_TRIPLES]
-    pts += [set(x - 1 for x in dbl) for dbl in _TEN_LINE_DOUBLES]
-    names = [f"e{i + 1}" for i in range(21)]
-    return Arrangement(10, pts, line_names=[f"L{j + 1}" for j in range(10)], point_names=names)
+    table = _TEN_LINE_TRIPLES + _TEN_LINE_DOUBLES
+    return _arrangement(10, {f"e{i + 1}": pt for i, pt in enumerate(table)}, base=1)
 
 
 def mu4() -> Arrangement:
@@ -280,17 +268,16 @@ def mu4() -> Arrangement:
     (0,1,1), (1,0,1), (1,1,0) (ids 4..6).  Every point of multiplicity 3 is
     modular, giving the smallest 4-homogeneous supersolvable example.
     """
-    pts = [
-        {0, 1, 3},  # (0,0,1) on x, y, x-y
-        {0, 2, 4},  # (0,1,0) on x, z, x-z
-        {1, 2, 5},  # (1,0,0) on y, z, y-z
-        {3, 4, 5},  # (1,1,1) on x-y, x-z, y-z
-        {0, 5},  # (0,1,1) on x, y-z
-        {1, 4},  # (1,0,1) on y, x-z
-        {2, 3},  # (1,1,0) on z, x-y
-    ]
-    names = ["P001", "P010", "P100", "P111", "P011", "P101", "P110"]
-    return Arrangement(6, pts, line_names=["Lx", "Ly", "Lz", "Lxy", "Lxz", "Lyz"], point_names=names)
+    points = {
+        "P001": (0, 1, 3),  # on x, y, x-y
+        "P010": (0, 2, 4),  # on x, z, x-z
+        "P100": (1, 2, 5),  # on y, z, y-z
+        "P111": (3, 4, 5),  # on x-y, x-z, y-z
+        "P011": (0, 5),  # on x, y-z
+        "P101": (1, 4),  # on y, x-z
+        "P110": (2, 3),  # on z, x-y
+    }
+    return _arrangement(6, points, ["Lx", "Ly", "Lz", "Lxy", "Lxz", "Lyz"])
 
 
 def supersolvable_mu3(m: int) -> Arrangement:
@@ -308,36 +295,22 @@ def supersolvable_mu3(m: int) -> Arrangement:
         raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
     n = m - 2
     lx, ly, lz = 3 * n, 3 * n + 1, 3 * n + 2
-    pts, names = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
-    pts.append(set(range(n)) | {lx, ly})
-    names.append("Mz")
-    pts.append(set(range(n, 2 * n)) | {ly, lz})
-    names.append("Mx")
-    pts.append(set(range(2 * n, 3 * n)) | {lx, lz})
-    names.append("My")
-    for i in range(n):
-        pts.append({i, lz})
-        names.append(f"Lz^XY{i}")
-    for i in range(n):
-        pts.append({n + i, lx})
-        names.append(f"Lx^YZ{i}")
-    for i in range(n):
-        pts.append({2 * n + i, ly})
-        names.append(f"Ly^XZ{i}")
-    line_names = (
-        [f"XY{i}" for i in range(n)]
-        + [f"YZ{i}" for i in range(n)]
-        + [f"XZ{i}" for i in range(n)]
-        + ["Lx", "Ly", "Lz"]
-    )
-    return Arrangement(3 * n + 3, pts, line_names=line_names, point_names=names)
+    points = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
+    points["Mz"] = [*range(n), lx, ly]
+    points["Mx"] = [*range(n, 2 * n), ly, lz]
+    points["My"] = [*range(2 * n, 3 * n), lx, lz]
+    points.update({f"Lz^XY{i}": (i, lz) for i in range(n)})
+    points.update({f"Lx^YZ{i}": (n + i, lx) for i in range(n)})
+    points.update({f"Ly^XZ{i}": (2 * n + i, ly) for i in range(n)})
+    line_names = [f"{p}{i}" for p in ("XY", "YZ", "XZ") for i in range(n)] + ["Lx", "Ly", "Lz"]
+    return _arrangement(3 * n + 3, points, line_names)
 
 
 def _a_w_k_exponents(m: int, k: int, chosen: Sequence[int] | None) -> list[int]:
     """Check the a_w_k parameters; return the chosen exponents in increasing order."""
     if not isinstance(m, int) or m < 5:
         raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
-    if not isinstance(k, int) or not 0 <= k <= m - 3:
+    if not _is_index(k, m - 2):
         raise BadParam(f"a_w_k needs 0 <= k <= m-3 = {m - 3}, got k={k!r}")
     chosen = list(range(1, k + 1)) if chosen is None else list(chosen)
     if len(chosen) != k:
@@ -345,7 +318,7 @@ def _a_w_k_exponents(m: int, k: int, chosen: Sequence[int] | None) -> list[int]:
     if len(set(chosen)) != len(chosen):
         raise DuplicateExponent(f"duplicate exponents in {chosen}")
     for e in chosen:
-        if not isinstance(e, int) or not 0 <= e <= m - 3:
+        if not _is_index(e, m - 2):
             raise ExponentOutOfRange(f"exponent {e!r} outside 0..{m - 3}")
     return sorted(chosen)
 
@@ -372,35 +345,20 @@ def a_w_k(m: int, k: int, chosen: Sequence[int] | None = None) -> Arrangement:
     n = m - 2
     xy, xz = 3, 3 + n
     yz = {e: 3 + 2 * n + idx for idx, e in enumerate(chosen)}
-    triples, triple_names = _ceva_triples(n, xy, xz, yz)
-    pts: list[set[int]] = [
-        {0, 1} | set(range(xy, xy + n)),
-        {0, 2} | set(range(xz, xz + n)),
-        {1, 2} | set(yz.values()),
-        *triples,
-    ]
-    names = ["P001", "P010", "P100", *triple_names]
-    for i in range(n):
-        for j in range(n):
-            if j not in yz:
-                pts.append({xy + (i - j) % n, xz + i})
-                names.append(f"D({i},{j})")
-    for i in range(n):
-        pts.append({2, xy + i})
-        names.append(f"Lz^XY{i}")
-    for i in range(n):
-        pts.append({1, xz + i})
-        names.append(f"Ly^XZ{i}")
-    for j in chosen:
-        pts.append({0, yz[j]})
-        names.append(f"Lx^YZ{j}")
-    line_names = (
-        ["Lx", "Ly", "Lz"]
-        + [f"XY{i}" for i in range(n)]
-        + [f"XZ{i}" for i in range(n)]
-        + [f"YZ{j}" for j in chosen]
-    )
-    return Arrangement(3 + 2 * n + k, pts, line_names=line_names, point_names=names)
+    points: dict[str, Iterable[int]] = {
+        "P001": [0, 1, *range(xy, xy + n)],
+        "P010": [0, 2, *range(xz, xz + n)],
+        "P100": [1, 2, *yz.values()],
+    }
+    points.update(_ceva_triples(n, xy, xz, yz))
+    points.update({f"D({i},{j})": (xy + (i - j) % n, xz + i)
+                   for i in range(n) for j in range(n) if j not in yz})
+    points.update({f"Lz^XY{i}": (2, xy + i) for i in range(n)})
+    points.update({f"Ly^XZ{i}": (1, xz + i) for i in range(n)})
+    points.update({f"Lx^YZ{j}": (0, yz[j]) for j in chosen})
+    line_names = ["Lx", "Ly", "Lz"] + [f"{p}{i}" for p in ("XY", "XZ") for i in range(n)]
+    line_names += [f"YZ{j}" for j in chosen]
+    return _arrangement(3 + 2 * n + k, points, line_names)
 
 
 # Registry used by the CLI: family name -> (callable, parameter names).
@@ -440,91 +398,62 @@ def build_family(name: str, **params) -> Arrangement:
 # Coordinate realizations (cross-check path; exact fields only)
 
 
+_AXES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _rows(rows, n: int | None = None) -> list[ProjLine]:
+    """One line per integer coefficient row, over Q, or over Q(e), e^n = 1, when n is given."""
+    scalar = Fraction if n is None else (lambda c: CycloNumber.from_rational(n, c))
+    return [ProjLine(tuple(map(scalar, row))) for row in rows]
+
+
+def _pencil(n: int, a: int, b: int, exponents: Iterable[int]) -> list[ProjLine]:
+    """The lines x_a - e^j x_b over Q(e), e^n = 1, for j in exponents (x_0, x_1, x_2 = x, y, z)."""
+    zero, one = CycloNumber.zero(n), CycloNumber.one(n)
+    lines = []
+    for j in exponents:
+        coords = [zero] * 3
+        coords[a], coords[b] = one, -CycloNumber.root(n, j)
+        lines.append(ProjLine(tuple(coords)))
+    return lines
+
+
 def ceva_coordinate_lines(n: int):
     """
     The 3n lines of (x^n-y^n)(y^n-z^n)(x^n-z^n) over Q(e), e^n = 1, in
     builder order.  n = 2 is accepted here (conductor 2 means e = -1) since
     the larger coordinate families reuse these pencils.
     """
-    from .exact_field import CycloNumber
-    from .projective import ProjLine
-
     if not isinstance(n, int) or n < 2:
         raise BadParam(f"coordinate pencils need n >= 2, got {n!r}")
-    zero, one = CycloNumber.zero(n), CycloNumber.one(n)
-    lines = []
-    for i in range(n):
-        lines.append(ProjLine((one, -CycloNumber.root(n, i), zero)))  # x - e^i y
-    for i in range(n):
-        lines.append(ProjLine((zero, one, -CycloNumber.root(n, i))))  # y - e^i z
-    for i in range(n):
-        lines.append(ProjLine((one, zero, -CycloNumber.root(n, i))))  # x - e^i z
-    return lines
+    return _pencil(n, 0, 1, range(n)) + _pencil(n, 1, 2, range(n)) + _pencil(n, 0, 2, range(n))
 
 
 def mu4_coordinate_lines():
     """x, y, z, x-y, x-z, y-z over Q, in builder order."""
-    from fractions import Fraction
-
-    from .projective import ProjLine
-
-    z, o = Fraction(0), Fraction(1)
-    return [
-        ProjLine((o, z, z)),
-        ProjLine((z, o, z)),
-        ProjLine((z, z, o)),
-        ProjLine((o, -o, z)),
-        ProjLine((o, z, -o)),
-        ProjLine((z, o, -o)),
-    ]
+    return _rows(_AXES + [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
 
 
 def nine_three_coordinate_lines():
     """
     x, y, x-y, z, 3x+z, y+z, x+y+z, 3x-y+z, 3x-3y-z over Q, in builder order.
     """
-    from fractions import Fraction
-
-    from .projective import ProjLine
-
     rows = [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (3, 0, 1),
             (0, 1, 1), (1, 1, 1), (3, -1, 1), (3, -3, -1)]
-    return [ProjLine(tuple(Fraction(c) for c in row)) for row in rows]
+    return _rows(rows)
 
 
 def supersolvable_mu3_coordinate_lines(m: int):
     """The ceva(m-2) lines followed by x, y, z over Q(e), in builder order."""
-    from .exact_field import CycloNumber
-    from .projective import ProjLine
-
     if not isinstance(m, int) or m < 4:
         raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
     n = m - 2
-    zero, one = CycloNumber.zero(n), CycloNumber.one(n)
-    lines = list(ceva_coordinate_lines(n))
-    lines.append(ProjLine((one, zero, zero)))
-    lines.append(ProjLine((zero, one, zero)))
-    lines.append(ProjLine((zero, zero, one)))
-    return lines
+    return ceva_coordinate_lines(n) + _rows(_AXES, n)
 
 
 def a_w_k_coordinate_lines(m: int, k: int, chosen: Sequence[int] | None = None):
     """x, y, z, the XY and XZ pencils, then the chosen YZ lines, over Q(e)."""
-    from .exact_field import CycloNumber
-    from .projective import ProjLine
-
     chosen = _a_w_k_exponents(m, k, chosen)
     n = m - 2
-    zero, one = CycloNumber.zero(n), CycloNumber.one(n)
-    lines = [
-        ProjLine((one, zero, zero)),
-        ProjLine((zero, one, zero)),
-        ProjLine((zero, zero, one)),
-    ]
-    for i in range(n):
-        lines.append(ProjLine((one, -CycloNumber.root(n, i), zero)))
-    for i in range(n):
-        lines.append(ProjLine((one, zero, -CycloNumber.root(n, i))))
-    for j in chosen:
-        lines.append(ProjLine((zero, one, -CycloNumber.root(n, j))))
-    return lines
+    pencils = _pencil(n, 0, 1, range(n)) + _pencil(n, 0, 2, range(n)) + _pencil(n, 1, 2, chosen)
+    return _rows(_AXES, n) + pencils

@@ -14,7 +14,7 @@ import json
 import math
 from collections import deque
 
-from .arrangement import MAX_LINES, Arrangement, ArrangementError, _is_index
+from .arrangement import MAX_LINES, Arrangement, ArrangementError, _is_index, _load_json
 
 __all__ = [
     "LeviGraph",
@@ -189,10 +189,7 @@ def export_json(g: LeviGraph, indent: int | None = None) -> str:
 
 def levi_from_json(text: str) -> LeviGraph:
     """Parse export_json output; rejects malformed documents and unknown vertices."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ArrangementError(f"not valid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or not {"s", "k", "edges"} <= set(doc):
         raise ArrangementError("document must be an object with 's', 'k', 'edges'")
     s, k, edges = doc["s"], doc["k"], doc["edges"]

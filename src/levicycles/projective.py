@@ -148,14 +148,13 @@ def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
     lines = list(lines)
     if len(lines) < 2:
         raise GeometryError("need at least two lines")
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            if lines[i] == lines[j]:
-                raise DuplicateLine(f"lines {i} and {j} coincide")
     through: dict[ProjPoint, set[int]] = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            p = meet(lines[i], lines[j])
+            try:
+                p = meet(lines[i], lines[j])
+            except IdenticalLines:
+                raise DuplicateLine(f"lines {i} and {j} coincide") from None
             through.setdefault(p, set()).add(i)
             through[p].add(j)
     ordered = sorted(through.items(), key=lambda item: sorted(item[1]))

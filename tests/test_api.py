@@ -1,0 +1,30 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
+import levicycles
+
+MODULES = [
+    "levicycles",
+    "levicycles.arrangement",
+    "levicycles.claims",
+    "levicycles.cli",
+    "levicycles.cycles",
+    "levicycles.exact_field",
+    "levicycles.families",
+    "levicycles.levi",
+    "levicycles.oracle",
+    "levicycles.projective",
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_module_is_listed():
+    shipped = {path.stem for path in Path(levicycles.__file__).parent.glob("*.py")}
+    assert {f"levicycles.{stem}" for stem in shipped - {"__init__"}} == set(MODULES[1:])

@@ -330,6 +330,15 @@ def test_cycles_spectrum_below_three_is_usage_error(files, capsys, i_max):
     assert captured.err.startswith("error: ") and "i_max >= 3" in captured.err
 
 
+def test_cycles_spectrum_above_line_limit_is_usage_error(files, capsys):
+    assert run(["cycles", files["mu4"], "--spectrum", "1000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "256" in captured.err
+    assert run(["cycles", files["mu4"], "--spectrum", "256"]) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 256 - 2
+
+
 def test_cycles_requires_mode(files):
     assert run(["cycles", files["mu4"]]) == EXIT_USAGE
 

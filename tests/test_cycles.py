@@ -50,7 +50,14 @@ def test_witness_length_and_json_roundtrip():
 
 @pytest.mark.parametrize(
     "text",
-    ["nope", "[]", '{"lines": [0, 1, 2]}', '{"points": [0, 1, 2]}', '{"lines": 5, "points": []}'],
+    [
+        "nope",
+        "[]",
+        '{"lines": [0, 1, 2]}',
+        '{"points": [0, 1, 2]}',
+        '{"lines": 5, "points": []}',
+        pytest.param("[" * 100000, id="deeply-nested"),
+    ],
 )
 def test_witness_from_json_rejects_malformed(text):
     with pytest.raises(ArrangementError):

@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+import json
 import warnings
 
 import pytest
 
 from levicycles import families
 from levicycles.arrangement import (
+    arrangement_to_json,
     modular_points,
     multiplicity_profile,
     validate_arrangement,
@@ -14,7 +18,7 @@ from levicycles.families import (
     ExponentOutOfRange,
     build_family,
 )
-from levicycles.projective import arrangement_from_lines
+from levicycles.projective import arrangement_from_lines, coordinates_to_payload
 
 
 def quiet(fn, *args):
@@ -186,8 +190,17 @@ def test_a_w_k_coordinates_match_builder(args):
         (5, 1, [-1], ExponentOutOfRange),
         (6, 1, [0, 1], BadParam),
         (6, 2, [1, 1], DuplicateExponent),
+        (5, True, None, BadParam),
+        (5, 1, [True], ExponentOutOfRange),
     ],
-    ids=["exponent-7", "exponent-minus-1", "two-exponents-for-k-1", "repeated-exponent"],
+    ids=[
+        "exponent-7",
+        "exponent-minus-1",
+        "two-exponents-for-k-1",
+        "repeated-exponent",
+        "bool-k",
+        "bool-exponent",
+    ],
 )
 def test_a_w_k_coordinate_lines_reject_what_the_builder_rejects(m, k, chosen, error):
     for build in (families.a_w_k, families.a_w_k_coordinate_lines):
@@ -206,3 +219,61 @@ def test_coordinate_incidences_are_exact():
         ids = sorted(fs)
         p = meet(lines[ids[0]], lines[ids[1]])
         assert all(incident(p, lines[j]) for j in ids)
+
+
+# Every a_w_k(m, k, chosen) with 5 <= m <= 8 and chosen sorted.
+_AWK_GRID = [
+    (m, k, list(chosen))
+    for m in range(5, 9)
+    for k in range(m - 2)
+    for chosen in itertools.combinations(range(m - 2), k)
+]
+JSON_GRID = {
+    "near_pencil": [(k,) for k in range(3, 9)],
+    "two_modular": [(a, b) for b in range(3, 8) for a in range(2, b)],
+    "generic": [(k,) for k in range(2, 9)],
+    "ceva": [(n,) for n in range(3, 9)],
+    "supersolvable_mu3": [(m,) for m in range(4, 10)],
+    "hesse": [()],
+    "nine_three": [()],
+    "ten_line": [()],
+    "mu4": [()],
+    "a_w_k": _AWK_GRID,
+    "ceva_coordinate_lines": [(n,) for n in range(2, 9)],
+    "mu4_coordinate_lines": [()],
+    "nine_three_coordinate_lines": [()],
+    "supersolvable_mu3_coordinate_lines": [(m,) for m in range(4, 10)],
+    "a_w_k_coordinate_lines": _AWK_GRID,
+}
+# sha256 of the newline-joined documents over JSON_GRID: arrangement_to_json
+# for builders, json.dumps(coordinates_to_payload(...)) for coordinate helpers.
+# Pins line and point ids, names and coordinates.
+JSON_GOLDEN = {
+    "near_pencil": "64df67fee947b4d869dea7626e388b485375544f7a7993c1a3e565651aa70c47",
+    "two_modular": "27f047dd4394ec56951ff6e5c7962fcb381c2695a9fd6695be43485ad8523619",
+    "generic": "c2dfb775a0ff694542f0973850959692c815ec9624baa7f2931e1388a964d13d",
+    "ceva": "1de08cc2f97571d91d3b97c1551df36cf77c21a585b1abc242bae2ef7493623e",
+    "supersolvable_mu3": "c64cb2e4e7a2b3e77908b50ecb7c119bf8a54e4af955122a8e0f124951514492",
+    "hesse": "3e4d74900b7fc9579c805603ca91c8b81243688c256e0a8e1d4ef8274c9bcd37",
+    "nine_three": "7debfac2b160e9b2afde8b45d79d8a3f564bd9bfb74431e5bf8b7a26c60cc49f",
+    "ten_line": "0aa9c6e8cc6b8e2fdd0a6341fc5f50c50c8273443ea7e93adde8a4772bb2345d",
+    "mu4": "8d2199c6f1d3157a922f11bbaae390dec72c09165d13257f2f6b03df91b2f894",
+    "a_w_k": "07a488277df02badfd45c79e55b28e7be90af16c6240e02a007d668a7e2af1a6",
+    "ceva_coordinate_lines": "871688b3210395bf868d4ab2cc261e8645cd3e6f477c5cfb28e81781c166919f",
+    "mu4_coordinate_lines": "ab64bdce6c586ca3dfe9b8f71ee88892d7305c22dea51041679e2d917e4af443",
+    "nine_three_coordinate_lines": "4371859c7c0e4db6a23c7e52a70433c09ea5f257100e2c4fef1531b1133b6ec8",
+    "supersolvable_mu3_coordinate_lines": "1c196678726db8cd59e94732bbc8522005a3b1e2502f932ea2f7f3c98cb03e20",
+    "a_w_k_coordinate_lines": "9f0326b432a254687baa943ac9a3731bc51de71bbd4ac9d92353884dfab8ef3a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_GOLDEN))
+def test_builder_json_golden(name):
+    docs = []
+    for args in JSON_GRID[name]:
+        out = quiet(getattr(families, name), *args)
+        if name.endswith("_coordinate_lines"):
+            docs.append(json.dumps(coordinates_to_payload(out)))
+        else:
+            docs.append(arrangement_to_json(out))
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == JSON_GOLDEN[name]

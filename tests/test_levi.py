@@ -171,6 +171,7 @@ def test_json_roundtrip():
         '{"s": "1", "k": 2, "edges": []}',
         '{"s": 1, "k": true, "edges": []}',
         '{"s": -1, "k": 2, "edges": []}',
+        pytest.param("[" * 100000, id="deeply-nested"),
     ],
 )
 def test_json_rejects_malformed(text):
