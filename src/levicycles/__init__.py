@@ -9,172 +9,28 @@ families come with exact cyclotomic realizations for cross-checking, and a
 claims layer turns structural theorems into runnable verdicts.
 """
 
-from .arrangement import (
-    Arrangement,
-    ArrangementError,
-    MultiplicityProfile,
-    ValidationReport,
-    arrangement_from_json,
-    arrangement_to_json,
-    modular_points,
-    multiplicity_profile,
-    relabeled,
-    subarrangement,
-    validate_arrangement,
-)
-from .claims import (
-    CONFIRMED,
-    NAMED_CLAIMS,
-    NOT_APPLICABLE,
-    REFUTED,
-    VERDICT_UNKNOWN,
-    ClaimReport,
-    Hypothesis,
-    UnknownClaim,
-    all_checkers,
-    verify_c6,
-    verify_c8,
-    verify_c10,
-    verify_named_claim,
-    verify_no_2k_supersolvable,
-    verify_t3_bounds,
-    verify_tq_bounds,
-)
-from .cycles import (
-    ABSENT,
-    FOUND,
-    NO_INDUCED_CYCLE,
-    UNKNOWN,
-    BadLength,
-    CycleSpectrum,
-    InducedCycleWitness,
-    LongestResult,
-    SearchResult,
-    exists_cycle,
-    longest_cycle,
-    spectrum,
-    validate_witness,
-)
-from .exact_field import CycloNumber, cyclotomic_polynomial, format_scalar, parse_scalar
-from .families import (
-    FAMILIES,
-    BadParam,
-    a_w_k,
-    build_family,
-    ceva,
-    generic,
-    hesse,
-    mu4,
-    near_pencil,
-    nine_three,
-    supersolvable_mu3,
-    ten_line,
-    two_modular,
-)
-from .levi import (
-    LeviGraph,
-    build_levi,
-    export_dot,
-    export_json,
-    girth,
-    levi_from_json,
-    recover_arrangement,
-    subdivide,
-)
-from .oracle import (
-    TooLarge,
-    circumference,
-    oracle_induced_cycle_lengths,
-    oracle_longest_induced_cycle,
-)
-from .projective import (
-    GeometryError,
-    ProjLine,
-    ProjPoint,
-    arrangement_from_lines,
-    incident,
-    line_through,
-    meet,
-)
+# Each module's __all__ is the one statement of what it makes public; the
+# package re-exports all of them (not the command-line front end, cli).
+from . import arrangement, claims, cycles, exact_field, families, levi, oracle, projective
+from .arrangement import *  # noqa: F403
+from .claims import *  # noqa: F403
+from .cycles import *  # noqa: F403
+from .exact_field import *  # noqa: F403
+from .families import *  # noqa: F403
+from .levi import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .projective import *  # noqa: F403
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Arrangement",
-    "ArrangementError",
-    "MultiplicityProfile",
-    "ValidationReport",
-    "arrangement_from_json",
-    "arrangement_to_json",
-    "modular_points",
-    "multiplicity_profile",
-    "relabeled",
-    "subarrangement",
-    "validate_arrangement",
-    "CONFIRMED",
-    "NAMED_CLAIMS",
-    "NOT_APPLICABLE",
-    "REFUTED",
-    "VERDICT_UNKNOWN",
-    "ClaimReport",
-    "Hypothesis",
-    "UnknownClaim",
-    "all_checkers",
-    "verify_c6",
-    "verify_c8",
-    "verify_c10",
-    "verify_named_claim",
-    "verify_no_2k_supersolvable",
-    "verify_t3_bounds",
-    "verify_tq_bounds",
-    "ABSENT",
-    "FOUND",
-    "NO_INDUCED_CYCLE",
-    "UNKNOWN",
-    "BadLength",
-    "CycleSpectrum",
-    "InducedCycleWitness",
-    "LongestResult",
-    "SearchResult",
-    "exists_cycle",
-    "longest_cycle",
-    "spectrum",
-    "validate_witness",
-    "CycloNumber",
-    "cyclotomic_polynomial",
-    "format_scalar",
-    "parse_scalar",
-    "FAMILIES",
-    "BadParam",
-    "a_w_k",
-    "build_family",
-    "ceva",
-    "generic",
-    "hesse",
-    "mu4",
-    "near_pencil",
-    "nine_three",
-    "supersolvable_mu3",
-    "ten_line",
-    "two_modular",
-    "LeviGraph",
-    "build_levi",
-    "export_dot",
-    "export_json",
-    "girth",
-    "levi_from_json",
-    "recover_arrangement",
-    "subdivide",
-    "TooLarge",
-    "circumference",
-    "oracle_induced_cycle_lengths",
-    "oracle_longest_induced_cycle",
-    "GeometryError",
-    "ProjLine",
-    "ProjPoint",
-    "arrangement_from_lines",
-    "incident",
-    "line_through",
-    "meet",
+    *arrangement.__all__,
+    *claims.__all__,
+    *cycles.__all__,
+    *exact_field.__all__,
+    *families.__all__,
+    *levi.__all__,
+    *oracle.__all__,
+    *projective.__all__,
     "__version__",
 ]

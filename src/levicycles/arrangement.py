@@ -387,7 +387,6 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     entries = doc["points"]
     if not isinstance(entries, list):
         raise ArrangementError("'points' must be a list")
-    seen_ids = set()
     by_id: dict[int, list[int]] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "lines" not in entry:
@@ -395,11 +394,10 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
         pid = entry["id"]
         if not isinstance(pid, int) or isinstance(pid, bool) or not isinstance(entry["lines"], list):
             raise ArrangementError(f"point {pid!r}: needs an integer 'id' and a list 'lines'")
-        if pid in seen_ids:
+        if pid in by_id:
             raise ArrangementError(f"duplicate point id {pid}")
-        seen_ids.add(pid)
         by_id[pid] = entry["lines"]
-    if seen_ids != set(range(len(entries))):
+    if by_id.keys() != set(range(len(entries))):
         raise ArrangementError("point ids must be exactly 0..s-1")
     for key in ("line_names", "point_names"):
         if not isinstance(doc.get(key, []), list):

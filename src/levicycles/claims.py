@@ -340,9 +340,6 @@ def verify_t3_bounds(arr: Arrangement, *, budget: int | None = None) -> ClaimRep
             _profile_evidence(arr),
         ),
     )
-    if not all(h.holds for h in hyps):
-        return session.report(hyps, NOT_APPLICABLE)
-
     k = arr.k
     if k % 2 == 1:
         bound = (k + 9) // 4

@@ -80,16 +80,28 @@ def _witness_line(witness) -> str:
     return f"witness lines={list(witness.lines)} points={list(witness.points)}"
 
 
+def _family_params(args, keys: tuple[str, ...]) -> dict:
+    """The family parameters given as flags, plus ``chosen`` when --chosen is."""
+    params = {}
+    for key in keys:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        # Every family has at least as many lines as each of its parameters,
+        # so a larger value only builds a document that no command loads.
+        if value > MAX_LINES:
+            raise ArrangementError(f"--{key} needs a value <= {MAX_LINES}, got {value}")
+        params[key] = value
+    chosen = _parse_chosen(args.chosen)
+    if chosen is not None:
+        params["chosen"] = chosen
+    return params
+
+
 def _cmd_build(args) -> int:
-    arr = build_family(
-        args.family,
-        m=args.m,
-        n=args.n,
-        k=args.k,
-        a=args.a,
-        b=args.b,
-        chosen=_parse_chosen(args.chosen),
-    )
+    arr = build_family(args.family, **_family_params(args, ("m", "n", "k", "a", "b")))
+    if arr.k > MAX_LINES:
+        raise ArrangementError(f"line count {arr.k} exceeds the limit of {MAX_LINES}")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(arrangement_to_json(arr, indent=2))
         fh.write("\n")
@@ -190,14 +202,7 @@ def _cmd_verify(args) -> int:
     elif args.claim in CHECKERS:
         reports = [CHECKERS[args.claim](_load(args.file), budget=budget)]
     else:
-        params: dict = {}
-        for key in ("n", "m", "k"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
-        chosen = _parse_chosen(args.chosen)
-        if chosen is not None:
-            params["chosen"] = chosen
+        params = _family_params(args, ("n", "m", "k"))
         reports = [verify_named_claim(args.claim, params, budget=budget)]
     if args.format == "json":
         print(json.dumps([_report_doc(r, args.timing) for r in reports], indent=2))

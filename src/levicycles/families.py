@@ -312,14 +312,18 @@ def _a_w_k_exponents(m: int, k: int, chosen: Sequence[int] | None) -> list[int]:
         raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
     if not _is_index(k, m - 2):
         raise BadParam(f"a_w_k needs 0 <= k <= m-3 = {m - 3}, got k={k!r}")
-    chosen = list(range(1, k + 1)) if chosen is None else list(chosen)
+    try:
+        chosen = list(range(1, k + 1)) if chosen is None else list(chosen)
+    except TypeError:
+        raise BadParam(f"a_w_k needs a sequence of exponents, got chosen={chosen!r}")
     if len(chosen) != k:
         raise BadParam(f"need exactly {k} exponents, got {len(chosen)}")
-    if len(set(chosen)) != len(chosen):
-        raise DuplicateExponent(f"duplicate exponents in {chosen}")
+    # Every exponent is a plain int before the duplicate check hashes them.
     for e in chosen:
         if not _is_index(e, m - 2):
             raise ExponentOutOfRange(f"exponent {e!r} outside 0..{m - 3}")
+    if len(set(chosen)) != len(chosen):
+        raise DuplicateExponent(f"duplicate exponents in {chosen}")
     return sorted(chosen)
 
 

@@ -1,18 +1,24 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levicycles import families
-from levicycles.arrangement import arrangement_to_json
+from levicycles.arrangement import ArrangementError, arrangement_to_json
+from levicycles.claims import NAMED_CLAIMS
+from levicycles.cycles import InducedCycleWitness, exists_cycle, validate_witness
+from levicycles.levi import build_levi, export_json, levi_from_json
 from levicycles.projective import MAX_CONDUCTOR, arrangement_from_lines
-from levicycles.cli import EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
+from levicycles.cli import CHECKERS, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
 
 from conftest import cyclic_nine_three
 
@@ -80,6 +86,41 @@ def test_build_bad_chosen(tmp_path, capsys):
 
 def test_build_unknown_family(tmp_path, capsys):
     assert run(["build", "nope", "-o", str(tmp_path / "x.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "generic", "--k", "100000", "-o", "{out}"],
+        ["build", "two_modular", "--a", "2", "--b", "257", "-o", "{out}"],
+        ["verify", "--claim", "ceva-range", "--n", "100000"],
+        ["verify", "--claim", "mu3-range", "--m", "257"],
+    ],
+)
+def test_family_parameter_above_line_limit_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "big.json"
+    start = time.perf_counter()
+    assert run([word.format(out=out) for word in argv]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "<= 256" in captured.err
+    assert not out.exists()
+
+
+def test_build_above_line_limit_writes_nothing(tmp_path, capsys):
+    # ceva(n) has 3n lines: n = 86 is the first past MAX_LINES = 256.
+    out = tmp_path / "ceva86.json"
+    assert run(["build", "ceva", "--n", "86", "-o", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line count 258 exceeds the limit of 256\n"
+    assert not out.exists()
+    out = tmp_path / "ceva85.json"
+    assert run(["build", "ceva", "--n", "85", "-o", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote {out}: k = 255, s = 7228\n"
+    assert run(["stats", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("k = 255\ns = 7228\n")
 
 
 def test_stats_rejects_invalid_arrangement(tmp_path, capsys):
@@ -218,6 +259,98 @@ def test_fuzz_file_surface_exits_cleanly(tmp_path_factory, data):
         assert code in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE, EXIT_UNKNOWN)
         if code == EXIT_USAGE:
             assert err.getvalue().startswith("error: ")
+
+
+# The Levi and witness readers have no CLI command yet, so they are fuzzed
+# directly: random text, shaped documents, and valid ones with one key replaced.
+_NINE_THREE = cyclic_nine_three()
+_VALID_LEVI = json.loads(export_json(build_levi(_NINE_THREE)))
+_VALID_WITNESS = asdict(exists_cycle(_NINE_THREE, 9).witness)
+_id_list = st.lists(st.integers(-1, 20) | _json_value, max_size=10) | _json_value
+_levi_document = st.fixed_dictionaries(
+    {
+        "s": st.integers(-1, 20) | _json_value,
+        "k": st.integers(-1, 10) | _json_value,
+        "edges": st.lists(st.lists(st.integers(-1, 20) | _json_value, max_size=3) | _json_value, max_size=8)
+        | _json_value,
+    }
+)
+_witness_document = st.fixed_dictionaries({"lines": _id_list, "points": _id_list})
+_reader_near_miss = st.builds(
+    lambda doc, value: {**doc[0], doc[1]: value},
+    st.sampled_from([(_VALID_LEVI, key) for key in ("s", "k", "edges")]
+                    + [(_VALID_WITNESS, key) for key in ("lines", "points")]),
+    _json_value,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.text(max_size=40) | (_levi_document | _witness_document | _reader_near_miss).map(json.dumps))
+@example("[" * 100_000)
+@example(json.dumps(_VALID_WITNESS))
+def test_fuzz_levi_and_witness_readers(text):
+    # Only ArrangementError may leave a reader, and a witness that loads is
+    # checked by validate_witness without raising.
+    with contextlib.suppress(ArrangementError):
+        levi_from_json(text)
+    try:
+        witness = InducedCycleWitness.from_json(text)
+    except ArrangementError:
+        return
+    validate_witness(_NINE_THREE, witness)
+
+
+# argv for the commands that read FILE: mostly their own flags, a foreign
+# one now and then, and values drawn per flag; FILE names the files fixture.
+# Every solver call runs under a budget of at most 1000 nodes, so each argv
+# ends quickly whatever it asks for.
+_COMMAND_FLAGS = {  # command -> (its mode flags, its other flags)
+    "stats": ([], ["--format"]),
+    "levi": (["--dot", "--json"], []),
+    "cycles": (["--longest", "--exists", "--spectrum"], ["--witness", "--format"]),
+    "verify": (["--all", "--claim"], ["--n", "--m", "--k", "--chosen", "--format", "--timing"]),
+    "oracle-check": ([], []),
+}
+_SWITCHES = {"--dot", "--json", "--longest", "--witness", "--all", "--timing", "--a", "--threads"}
+_FLAG_VALUES = {
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--claim": st.sampled_from([*CHECKERS, *NAMED_CLAIMS, "bogus"]),
+    "--chosen": st.sampled_from(["0,2", "1", "1,x", "5,5", ""]),
+}
+_INT = (st.integers(-5, 12) | st.sampled_from([257, 10**6])).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    modes, flags = _COMMAND_FLAGS[command]
+    argv = [command]
+    file = draw(st.sampled_from(["mu4", "cyclic_nine_three", "generic3", "ten_line", None]))
+    if file is not None:
+        argv.append(file)
+    if command in ("cycles", "verify"):
+        argv += ["--budget", str(draw(st.integers(-5, 1000)))]
+    # A mode flag comes first, so that most calls get past argparse.
+    first = [draw(st.sampled_from(modes))] if modes else []
+    for flag in first + draw(st.lists(st.sampled_from([*modes, *flags, "--a", "--threads"]), max_size=3)):
+        argv.append(flag)
+        if flag not in _SWITCHES:
+            argv.append(draw(_FLAG_VALUES.get(flag, _INT)))
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_argv())
+@example(["verify", "--budget", "1000", "--claim", "awk-max", "--m", "1000000", "--k", "2"])
+@example(["verify", "--budget", "1000", "--claim", "ceva-range", "--n", "257"])
+@example(["cycles", "mu4", "--budget", "1000", "--exists", "1000000"])
+def test_fuzz_argv_exits_cleanly(files, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([files.get(word, word) for word in argv])
+    assert code in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE, EXIT_UNKNOWN)
+    if code == EXIT_USAGE:
+        assert "error:" in err.getvalue()
 
 
 # -- levi
@@ -459,6 +592,75 @@ def test_oracle_check_too_large(tmp_path, capsys):
     # 15 lines + 28 points = 43 Levi vertices, past the oracle's cap
     assert run(["oracle-check", target]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+# -- golden output
+
+# Each call, with the files fixture's names standing for their paths, maps to
+# the first 16 hex digits of the sha256 of "<exit code>\n<stdout>", so a byte
+# that moves in any of these outputs fails here; a change that means to move
+# one updates its digest and says why.  Calls whose output names a path
+# (build) or a wall time (--timing) are left out.
+GOLDEN_CLI = {
+    "stats mu4": "f83e8d7f26bda93b",
+    "stats mu4 --format json": "66bcfbe9ed5d2775",
+    "stats cyclic_nine_three": "c4af3bd1df8a8aee",
+    "stats ten_line --format json": "4d4481326338877b",
+    "levi mu4 --dot": "b1cb3cd8038a659c",
+    "levi mu4 --json": "2c2a5c4650a1e391",
+    "levi cyclic_nine_three --json": "dc3908b0e6c27a17",
+    "cycles cyclic_nine_three --longest": "f42f9b461c02c799",
+    "cycles cyclic_nine_three --longest --witness": "795c681fa1b7ac5a",
+    "cycles cyclic_nine_three --longest --format json": "d44f3d62342ae446",
+    "cycles mu4 --longest --witness": "c96f319c38726ff3",
+    "cycles generic3 --longest --format json": "b301dc874ddb9f73",
+    "cycles cyclic_nine_three --exists 8": "207d98fbe27c1400",
+    "cycles cyclic_nine_three --exists 9 --witness": "6ea24a50ec3cb009",
+    "cycles cyclic_nine_three --exists 9 --format json": "bcd1fe4ebd4fa0f5",
+    "cycles mu4 --exists 5 --format json": "5ddd1e8f420fba4d",
+    "cycles mu4 --spectrum 6 --witness": "3e9da4f219a971f6",
+    "cycles mu4 --spectrum 6 --format json": "e602369f793175fb",
+    "cycles cyclic_nine_three --spectrum 9 --witness": "fecea15ffc0864c7",
+    "cycles cyclic_nine_three --spectrum 9 --format json": "c5ac7d1c0e72d24f",
+    "cycles cyclic_nine_three --longest --budget 5": "105d97da52a391f5",
+    "cycles cyclic_nine_three --spectrum 9 --budget 100 --format json": "aafbda23ca252634",
+    "verify ten_line --all": "e652ce37b3ba227c",
+    "verify ten_line --all --format json": "3df46ec3d547c8b1",
+    "verify generic3 --all": "c126bd6462d0624f",
+    "verify mu4 --all --format json": "3d29f709645d6bbe",
+    "verify cyclic_nine_three --claim c6": "f4d3bdc74af1356d",
+    "verify cyclic_nine_three --claim c8": "3625b23590fc9504",
+    "verify cyclic_nine_three --claim c10": "84724ff341f1461b",
+    "verify cyclic_nine_three --claim t3-bounds": "8cbeacc4f901074d",
+    "verify cyclic_nine_three --claim t3-bounds --budget 5 --format json": "d009cdec0cbd0be0",
+    "verify mu4 --claim t3-bounds": "b5feeacf29a890fc",
+    "verify mu4 --claim tq-bounds": "836ad4ebd52469b1",
+    "verify cyclic_nine_three --claim no-2k-supersolvable --format json": "0d947af69ba57f42",
+    "verify generic3 --claim no-2k-supersolvable": "d215d3a54f7d1dc2",
+    "verify --claim nine-three-longest": "a539dca77d42376f",
+    "verify --claim ten-line-longest": "7b7fb220554c2411",
+    "verify --claim hesse-longest --format json": "689b32bba5120eb9",
+    "verify --claim mu4-longest": "28e06af1b0ee499f",
+    "verify --claim ceva-range --n 4": "e0a21d71da233e7e",
+    "verify --claim ceva-range --n 5 --format json": "923ec5d0834b64b3",
+    "verify --claim mu3-range --m 4": "4aed9e91bad52d9d",
+    "verify --claim mu3-range --m 5 --format json": "87857747251a31b3",
+    "verify --claim awk-max --m 5 --k 1": "b63d4990fb171cee",
+    "verify --claim awk-max --m 6 --k 2 --chosen 0,2": "bfb3cd3ba20b691f",
+    "verify --claim awk-max --m 8 --k 2": "603c1993f60c6e0e",
+    "oracle-check mu4": "d8f11b8b3d7c2295",
+    "oracle-check cyclic_nine_three": "5d3607b7593ed0ab",
+    "oracle-check generic3": "e02a361483433f7d",
+}
+
+
+def test_cli_output_golden(files, capsys):
+    digests = {}
+    for call in GOLDEN_CLI:
+        code = run([files.get(word, word) for word in call.split()])
+        stdout = capsys.readouterr().out
+        digests[call] = hashlib.sha256(f"{code}\n{stdout}".encode("utf-8")).hexdigest()[:16]
+    assert digests == GOLDEN_CLI
 
 
 # -- top-level behavior

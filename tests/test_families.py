@@ -192,6 +192,8 @@ def test_a_w_k_coordinates_match_builder(args):
         (6, 2, [1, 1], DuplicateExponent),
         (5, True, None, BadParam),
         (5, 1, [True], ExponentOutOfRange),
+        (5, 1, [[0]], ExponentOutOfRange),
+        (5, 1, 7, BadParam),
     ],
     ids=[
         "exponent-7",
@@ -200,6 +202,8 @@ def test_a_w_k_coordinates_match_builder(args):
         "repeated-exponent",
         "bool-k",
         "bool-exponent",
+        "list-exponent",
+        "chosen-not-iterable",
     ],
 )
 def test_a_w_k_coordinate_lines_reject_what_the_builder_rejects(m, k, chosen, error):
