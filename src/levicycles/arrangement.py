@@ -111,7 +111,9 @@ class Arrangement:
     Incidence is stored in both directions, plus bitmask views (``line_masks``
     bit p = point p lies on the line; ``point_masks`` bit j = line j passes
     through the point) for O(1) membership tests in the cycle solver.
-    Instances are immutable.
+    Instances are immutable; the one private slot, ``_symmetry``, holds what
+    the cycle solver computes once per arrangement (pair coverage and the
+    orbit root plan), filled on first use.
     """
 
     __slots__ = (
@@ -123,6 +125,7 @@ class Arrangement:
         "line_names",
         "point_names",
         "coordinates",
+        "_symmetry",
     )
 
     def __init__(
@@ -177,6 +180,7 @@ class Arrangement:
         object.__setattr__(self, "line_names", line_names)
         object.__setattr__(self, "point_names", point_names)
         object.__setattr__(self, "coordinates", tuple(coordinates) if coordinates is not None else None)
+        object.__setattr__(self, "_symmetry", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Arrangement is immutable")
@@ -219,6 +223,22 @@ def multiplicity_profile(arr: Arrangement) -> MultiplicityProfile:
     return MultiplicityProfile(t=dict(sorted(t.items())), s=arr.s, q=q)
 
 
+def _first_bad_pair(arr: Arrangement) -> tuple[int, int] | None:
+    """
+    A line pair that does not share exactly one point, or None.
+
+    Pairs are counted point by point up to the first pair met twice, and
+    only then are missing pairs looked for, so one failing pair is named
+    after at most C(k, 2) + s steps.
+    """
+    seen: set[tuple[int, int]] = set()
+    for bad in chain.from_iterable(combinations(sorted(fs), 2) for fs in arr.point_lines):
+        if bad in seen:
+            return bad
+        seen.add(bad)
+    return next((pair for pair in combinations(range(arr.k), 2) if pair not in seen), None)
+
+
 def validate_arrangement(arr: Arrangement) -> ValidationReport:
     """
     Check the incidence laws of a projective line arrangement.
@@ -226,9 +246,8 @@ def validate_arrangement(arr: Arrangement) -> ValidationReport:
     Performed checks (all exact integer identities, no tolerances):
 
     - ``pair-coverage``: every unordered pair of distinct lines shares
-      exactly one point.  Pairs are counted point by point up to the first
-      pair met twice, and only then are missing pairs looked for, so one
-      failing pair is named after at most C(k, 2) + s steps;
+      exactly one point; one failing pair is named after at most
+      C(k, 2) + s steps;
     - ``eq1``: sum_p C(m_p, 2) = C(k, 2);
     - ``eq2``: sum_{p on l} (m_p - 1) = k - 1 for every line l.
 
@@ -241,13 +260,7 @@ def validate_arrangement(arr: Arrangement) -> ValidationReport:
     failures: list[str] = []
     checks: dict[str, bool] = {}
 
-    seen: set[tuple[int, int]] = set()
-    for bad in chain.from_iterable(combinations(sorted(fs), 2) for fs in arr.point_lines):
-        if bad in seen:
-            break
-        seen.add(bad)
-    else:
-        bad = next((pair for pair in combinations(range(arr.k), 2) if pair not in seen), None)
+    bad = _first_bad_pair(arr)
     checks["pair-coverage"] = bad is None
     if bad is not None:
         a, b = bad

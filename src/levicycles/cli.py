@@ -4,7 +4,8 @@ Subcommands: ``build`` (family -> arrangement JSON), ``stats`` (incidence
 census), ``levi`` (DOT / JSON export), ``cycles`` (existence, longest,
 spectrum), ``verify`` (claim checkers), ``oracle-check`` (solver vs.
 brute-force equivalence).  Exit codes: 0 success, 1 refuted/disagreement,
-2 usage error, 3 budget exhausted before an answer.
+2 usage error, 3 budget exhausted before an answer, 141 (128 + SIGPIPE)
+when the reader closed standard output early.
 
 Output is deterministic for fixed flags; wall-clock timing is opt-in via
 ``--timing`` so default output stays byte-for-byte reproducible.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -49,6 +51,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 CHECKERS = {
     "c6": verify_c6,
@@ -315,7 +318,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (``| head -1``): not an input error.  The
+        # rest of the output goes to devnull, so the final flush is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ArrangementError, TooLarge, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,25 +9,45 @@ Inducedness is maintained incrementally with the arrangement's own incidence
 bitsets (``line_masks``, ``point_masks``), so accepted sequences never need a
 post-hoc filter and a call builds no table of its own.
 
-Symmetry is broken by canonical form: the first line is the smallest chosen
-line and the second is smaller than the last, which kills the dihedral
-symmetry of the cycle.  `Absent` is only reported after the canonical
-enumeration has been exhausted; hitting the node budget yields `Unknown`,
-never a silent under-search.
+Two root plans share one recursion.  The canonical plan breaks the
+dihedral symmetry of a cycle: the first line is the smallest chosen line
+and the second is smaller than the last.  The orbit plan breaks the
+symmetry of the arrangement as well: it roots one line per orbit of the
+incidence automorphism group, and on it one first point per orbit of that
+line's stabiliser, so an absence proof searches one copy of each symmetric
+subtree (McKay's orderly scheme, "Isomorph-free exhaustive generation",
+1998).  The group comes from individualisation-refinement on the Levi
+graph, and every generator is checked to preserve incidences before use.
+The recursion also carries ``closable``, the lines that can still close the
+cycle, and never places a last line outside it.
+
+`Absent` is only reported after a plan has been exhausted; hitting the
+node budget yields `Unknown`, never a silent under-search.  Each call runs
+the canonical plan's first root prefix (line 0 and its first point); if
+that finds nothing, the orbit plan decides the status, and a found length
+is searched on by the canonical plan, so found witnesses are canonical
+and do not depend on the group.  When no symmetry is found, or some line
+pair does not meet exactly once, the canonical plan runs alone.
 
 The search is serial with one fixed schedule: root prefixes (first line,
-first point, second line) in lexicographic order, each exhausted before the
-next, stopping at the first witness.  Statuses, witnesses and node counts
-are therefore deterministic.  The budget caps the nodes of one
-`exists_cycle` call; `longest_cycle` and `spectrum` apply it to each length.
+first point, second line) in plan order, each exhausted before the next,
+stopping at the first witness.  Statuses, witnesses and node counts are
+therefore deterministic; node counts include every plan a call ran.  The
+budget caps the nodes of one `exists_cycle` call; `longest_cycle` and
+`spectrum` apply it to each length.  Progress goes to the
+``levicycles.cycles`` logger at debug level: one record per exhausted
+root and one per settled length.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
-from .arrangement import Arrangement, ArrangementError, ValidationReport, _is_index, _load_json
+from .arrangement import Arrangement, ArrangementError, ValidationReport, _first_bad_pair, _is_index, _load_json
 from .levi import build_levi
 
 __all__ = [
@@ -226,32 +246,401 @@ class _BudgetHit(Exception):
     pass
 
 
+def _debug(message: str, *args) -> None:
+    """
+    Log on the ``levicycles.cycles`` logger at debug level.
+
+    A debug record reaches only a handler that someone configured, which
+    imports logging; until then there is nothing to do, and the CLI starts
+    without importing it.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(message, *args)
+
+
+# -- symmetry: verified incidence automorphisms and the orbit root plan
+
+# Work cap of _automorphisms, in vertices and incidences visited.  Every
+# arrangement the benchmark builds needs at most about 6 000 units (2-3 ms
+# on a 2-core VM for ceva(6), mu3(7) and a_w_k(7,3)), ceva(9) 13 000 and
+# generic(30), with 30 lines and 435 points, 400 000 (0.11 s).  generic(40)
+# and near_pencil(120) reach the cap, after 0.28 s and 0.11 s, and keep a
+# subgroup.
+_AUT_CAP = 1_000_000
+
+
+class _CapHit(Exception):
+    pass
+
+
+def _is_automorphism(arr: Arrangement, perm: list[int]) -> bool:
+    """
+    Whether ``perm`` is an incidence automorphism of ``arr``.
+
+    Vertices are numbered as in the Levi graph with lines first: line j is
+    vertex j and point p is vertex k + p.  ``perm`` must be a bijection of
+    the lines and of the points that maps the line set of every point onto
+    the line set of the point it is sent to.  This check is the soundness
+    certificate of the orbit plan: a map that fails it is never used.
+    """
+    k, n = arr.k, arr.k + arr.s
+    if len(perm) != n or sorted(perm[:k]) != list(range(k)) or sorted(perm[k:]) != list(range(k, n)):
+        return False
+    pmask = arr.point_masks
+    for p, lines in enumerate(arr.point_lines):
+        image = 0
+        for j in lines:
+            image |= 1 << perm[j]
+        if image != pmask[perm[k + p] - k]:
+            return False
+    return True
+
+
+def _automorphisms(arr: Arrangement) -> list[list[int]]:
+    """
+    Generators of the incidence automorphism group of ``arr``.
+
+    Individualisation-refinement on the Levi graph (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014), with lines and points in
+    separate cells from the start.  A node of the search tree is an ordered
+    partition of the vertices refined to the coarsest equitable one; a
+    child individualises one line of the largest non-singleton line cell.
+    The first path ends in a discrete partition, the first leaf.  Then, from
+    the deepest level up, every line of the level's target cell that is not
+    yet known to be equivalent to the path's choice is tried: its subtree is
+    searched, pruned by the refinement trace of the first path, for a leaf
+    whose map from the first leaf passes :func:`_is_automorphism`.  The maps
+    found generate the whole group.
+
+    Returns permutations in :func:`_is_automorphism`'s numbering.  The work
+    is capped: past ``_AUT_CAP`` units, which took at most 0.3 s in every
+    case measured (generic(40), 40 lines and 780 points, on a 2-core VM),
+    it returns the generators verified so far.  They generate a subgroup,
+    whose orbits are finer, still sound, and only prune less.
+    """
+    k, n = arr.k, arr.k + arr.s
+    adj = [tuple(k + p for p in arr.line_points[j]) for j in range(k)]
+    adj += [tuple(lines) for lines in arr.point_lines]
+    work = 0
+
+    # A partition is (lab, cell, end): lab lists the vertices by position,
+    # cell[v] is the first position of v's cell and end[a] the position after
+    # the cell that starts at a.  Cells are named by position, and fragments
+    # are ordered by their neighbour counts, so the trace of a refinement,
+    # the list of its splits, does not depend on vertex labels.
+    def refine(lab, cell, end, queue, expect):
+        """Refine in place until equitable; the trace, or None when it leaves ``expect``."""
+        nonlocal work
+        trace: list = []
+        queued = set(queue)
+        heapify(queue)
+        while queue:
+            a = heappop(queue)
+            queued.discard(a)
+            counts: dict[int, int] = {}
+            for x in lab[a:end[a]]:
+                for u in adj[x]:
+                    counts[u] = counts.get(u, 0) + 1
+            work += len(counts) + end[a] - a
+            for c in sorted({cell[u] for u in counts}):
+                e = end[c]
+                if e - c == 1:
+                    continue
+                groups: dict[int, list[int]] = {}
+                for u in lab[c:e]:
+                    groups.setdefault(counts.get(u, 0), []).append(u)
+                work += e - c
+                if len(groups) == 1:
+                    continue
+                step = (a, c, tuple((m, len(groups[m])) for m in sorted(groups)))
+                if expect is not None and (len(trace) == len(expect) or expect[len(trace)] != step):
+                    return None
+                trace.append(step)
+                frags = []
+                pos = c
+                for m in sorted(groups):
+                    group = groups[m]
+                    lab[pos:pos + len(group)] = group
+                    for u in group:
+                        cell[u] = pos
+                    end[pos] = pos + len(group)
+                    frags.append(pos)
+                    pos += len(group)
+                # A cell already queued splits by all its fragments; otherwise
+                # the largest one (the first among equals) is implied.
+                if c not in queued:
+                    frags.remove(max(frags, key=lambda f: (end[f] - f, -f)))
+                for f in frags:
+                    if f not in queued:
+                        queued.add(f)
+                        heappush(queue, f)
+            if work > _AUT_CAP:
+                raise _CapHit
+        if expect is not None and len(trace) != len(expect):
+            return None
+        return tuple(trace)
+
+    def individualise(node, v, expect):
+        nonlocal work
+        work += n
+        lab, cell, end = (list(x) for x in node)
+        c, e = cell[v], end[cell[v]]
+        at = lab.index(v, c, e)
+        lab[c], lab[at] = v, lab[c]
+        end[c], end[c + 1] = c + 1, e
+        for u in lab[c + 1:e]:
+            cell[u] = c + 1
+        trace = refine(lab, cell, end, [c], expect)
+        return None if trace is None else ((lab, cell, end), trace)
+
+    def target(node):
+        """The first largest non-singleton line cell, or None when lines are discrete."""
+        _, _, end = node
+        best, a = None, 0
+        while a < k:
+            if end[a] - a > 1 and (best is None or end[a] - a > end[best] - best):
+                best = a
+            a = end[a]
+        return best
+
+    def leaf_map(node, m):
+        """A verified automorphism from a leaf below node (at depth m) onto the first leaf, or None."""
+        nonlocal work
+        if m == len(path):
+            work += n
+            perm = [0] * n
+            for u, v in zip(first_leaf, node[0]):
+                perm[u] = v
+            return perm if _is_automorphism(arr, perm) else None
+        _, a, _, trace = path[m]
+        for x in node[0][a:node[2][a]]:
+            child = individualise(node, x, trace)
+            if child is not None:
+                perm = leaf_map(child[0], m + 1)
+                if perm is not None:
+                    return perm
+        return None
+
+    parent = list(range(k))  # union-find over lines: orbits of the generators so far
+    gens: list[list[int]] = []
+    path: list = []  # per level: (node, target cell, chosen line, trace of the child)
+    try:
+        lab, cell, end = list(range(n)), [0] * k + [k] * (n - k), [0] * n
+        end[0], end[k] = k, n
+        refine(lab, cell, end, [0, k] if n > k else [0], None)
+        node = (lab, cell, end)
+        while (a := target(node)) is not None:
+            v = min(node[0][a:node[2][a]])
+            child, trace = individualise(node, v, None)
+            path.append((node, a, v, trace))
+            node = child
+        first_leaf = node[0]
+        for m in reversed(range(len(path))):
+            node, a, v, trace = path[m]
+            # Every generator so far fixes the lines chosen above level m.
+            failed = set()
+            for w in sorted(node[0][a:node[2][a]]):
+                if _find(parent, w) == _find(parent, v) or _find(parent, w) in failed:
+                    continue
+                child = individualise(node, w, trace)
+                perm = None if child is None else leaf_map(child[0], m + 1)
+                if perm is None:
+                    failed.add(_find(parent, w))
+                    continue
+                gens.append(perm)
+                for j in range(k):
+                    x, y = _find(parent, j), _find(parent, perm[j])
+                    if x != y:
+                        parent[x] = y
+    except _CapHit:
+        pass
+    return gens
+
+
+def _find(parent, x: int) -> int:
+    """The root of x in a union-find forest (a list or dict of parents), halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _orbits(vertices, moves) -> list[list[int]]:
+    """Classes of ``vertices`` joined by the pairs in ``moves``, each sorted, ordered by least member."""
+    parent = {v: v for v in vertices}
+    for x, y in moves:
+        x, y = _find(parent, x), _find(parent, y)
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+    classes: dict[int, list[int]] = {}
+    for v in sorted(parent):
+        classes.setdefault(_find(parent, v), []).append(v)
+    return sorted(classes.values())
+
+
+def _stabiliser_point_orbits(arr: Arrangement, gens: list[list[int]], r: int) -> list[list[int]]:
+    """
+    Orbits on the points of line r of the group fixing r.
+
+    By Schreier's lemma the stabiliser is generated by u_{g(x)}^-1 g u_x
+    for every generator g and every x in the orbit of r, where u_x is a
+    product of generators taking r to x.
+    """
+    k = arr.k
+    coset = {r: list(range(k + arr.s))}
+    queue = [r]
+    for x in queue:  # the queue grows while it is walked: a breadth-first orbit
+        for g in gens:
+            if g[x] not in coset:
+                coset[g[x]] = [g[v] for v in coset[x]]
+                queue.append(g[x])
+    back = {}
+    for x, u in coset.items():
+        inv = [0] * len(u)
+        for v, image in enumerate(u):
+            inv[image] = v
+        back[x] = inv
+    points = [k + p for p in sorted(arr.line_points[r])]
+    moves = [(p, back[g[x]][g[u[p]]]) for x, u in coset.items() for g in gens for p in points]
+    return [[v - k for v in orbit] for orbit in _orbits(points, moves)]
+
+
+def _lines_through(pmask, points: int) -> int:
+    """The lines through any of the points in the bitmask ``points``."""
+    lines = 0
+    while points:
+        low = points & -points
+        points ^= low
+        lines |= pmask[low.bit_length() - 1]
+    return lines
+
+
+def _orbit_plan(arr: Arrangement):
+    """
+    Root plan over orbit representatives, or None when no symmetry is found.
+
+    Line orbits are taken in order of their least line r.  The cycles through
+    r may use every line outside the orbits taken before; their first point
+    p1 runs over the least points of the orbits of the stabiliser of r on
+    the points of r, and a point in an orbit taken before p1's cannot close
+    the cycle.  Each entry is (r, allowed lines, ((p1, closable lines,
+    side), ...)), the shape of :func:`_canonical_roots`; ``side`` is 0, or
+    -1 where only last lines below j2 are left (see :func:`_search`).
+    """
+    gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
+    if not gens:
+        return None
+    k = arr.k
+    lmask, pmask = arr.line_masks, arr.point_masks
+    plan = []
+    taken = 0
+    for orbit in _orbits(range(k), [(j, g[j]) for g in gens for j in range(k)]):
+        r = orbit[0]
+        allowed = ((1 << k) - 1) & ~taken & ~(1 << r)
+        firsts = []
+        closed = 0
+        for points in _stabiliser_point_orbits(arr, gens, r):
+            p1 = points[0]
+            # line 0 with its least point is the canonical plan's first root
+            # prefix, searched with the last line above j2 before any plan
+            side = -1 if not plan and not firsts else 0
+            firsts.append((p1, _lines_through(pmask, lmask[r] & ~closed & ~(1 << p1)) & allowed, side))
+            closed |= sum(1 << p for p in points)
+        plan.append((r, allowed, tuple(firsts)))
+        taken |= sum(1 << j for j in orbit)
+    return tuple(plan)
+
+
+_PENDING = object()  # the orbit plan has not been needed yet
+
+
+class _Symmetry:
+    """What the search computes at most once per arrangement (``Arrangement._symmetry``)."""
+
+    __slots__ = ("covered", "plan")
+
+    def __init__(self, arr: Arrangement) -> None:
+        self.covered = _first_bad_pair(arr) is None  # every line pair meets in exactly one point
+        self.plan = _PENDING  # then the orbit plan, or None
+
+
+def _symmetry(arr: Arrangement) -> _Symmetry:
+    if arr._symmetry is None:
+        object.__setattr__(arr, "_symmetry", _Symmetry(arr))  # Arrangement blocks plain assignment
+    return arr._symmetry
+
+
+def _canonical_roots(arr: Arrangement):
+    """
+    Every line j1 in turn, above it the lines > j1, and each point p1 of j1
+    as first point, with the lines through the other points of j1 as
+    closable and side 1: the last line must be above j2.
+    """
+    lmask, pmask, k = arr.line_masks, arr.point_masks, arr.k
+    for j1 in range(k):
+        above = ((1 << k) - 1) >> (j1 + 1) << (j1 + 1)
+        firsts = []
+        rest = lmask[j1]
+        while rest:
+            b1 = rest & -rest
+            rest ^= b1
+            firsts.append((b1.bit_length() - 1, _lines_through(pmask, lmask[j1] ^ b1) & above, 1))
+        yield j1, above, firsts
+
+
 def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     """
-    Canonical line-sequence DFS over one arrangement.
+    Line-sequence DFS over one arrangement, under two root plans.
 
     All incidence tests are bitmask operations on the arrangement's own
     views: lmask[j] is the point set of line j, pmask[p] the line set
     through p, and the meet of lines a and b is the single bit of
     ``lmask[a] & lmask[b]`` (its highest bit where the data breaks pair
-    coverage).  j1 is the cycle minimum, so only j2 > j1 can follow it in a
-    root prefix (j1, p1, j2).
+    coverage).  A root is a line j1 with ``above``, the lines that may
+    follow it, and its first points p1; a root prefix (j1, p1, j2) takes
+    j2 from ``pmask[p1] & above``.
 
     The recursion carries ``hit``, the OR of pmask[q] over every chosen
     point q: the set of lines through some chosen point.  Every chosen line
     passes through a chosen point (j1 and j2 through p1, each later line
     through the point it entered by), so ``hit`` contains the chosen lines,
     and a new line through exit point p must lie in
-    ``pmask[p] & above & ~hit``, where ``above`` holds the lines greater
-    than j1.  The same mask drives the pool check: every line placed after
-    the next one enters through a point not yet chosen, so it must avoid
-    ``hit | pmask[p]``, and an exit point p is skipped when
+    ``pmask[p] & above & ~hit``.  The same mask drives the pool check: every
+    line placed after the next one enters through a point not yet chosen,
+    so it must avoid ``hit | pmask[p]``, and an exit point p is skipped when
     ``above & ~(hit | pmask[p])`` has fewer lines than are still needed.
+
+    It also carries ``closable``, the lines that may still close the cycle:
+    lines through a free point of j1, one on no interior line and not ruled
+    out by the plan.  The last line is taken from it, an exit point p is
+    skipped when ``closable & ~(hit | pmask[p])`` is empty, and each interior
+    line c removes the lines through its meet with j1.  When every line pair
+    meets exactly once, a last line from ``closable`` always closes the
+    cycle; otherwise the update is skipped and the closure is tested.
+
+    - The canonical plan takes every line j1 in order with the lines above
+      it, every point of j1 as p1, and keeps only lines > j2 in
+      ``closable``, so the second line is smaller than the last.
+    - The orbit plan (:func:`_orbit_plan`) takes one line per orbit of the
+      automorphism group and, on it, one first point per orbit of the
+      line's stabiliser, with no tie-break, except that line 0 with its
+      first point keeps only lines < j2: the canonical plan's first prefix,
+      always searched before, covered the lines above.
+
+    The canonical plan runs its first root prefix (line 0 and its first
+    point).  When that finds nothing and pair coverage holds, the orbit plan
+    is computed (once per arrangement) and decides the status; when it
+    finds a cycle, or no symmetry is known, the canonical plan goes on from
+    its second prefix and returns its first witness, so witnesses do not
+    depend on the group.  ``nodes`` and the budget count every run.
     """
     lmask, pmask = arr.line_masks, arr.point_masks
+    sym = _symmetry(arr)
+    covered = sym.covered
     nodes = 0
+    j1 = above = 0  # the root line and the lines that may follow it, set by explore
 
-    # j1 and above are set by the root loop below, once per first line
     def rec(
         seq: list[int],
         pts: list[int],
@@ -259,6 +648,7 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
         hit: int,
         cover_prev: int,
         cover_all: int,
+        closable: int,
     ) -> InducedCycleWitness | None:
         nonlocal nodes
         nodes += 1
@@ -268,10 +658,8 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
         if len(seq) == i:
             # close: the meet of the last and first lines must avoid every
             # interior line (which also forces it off all chosen points)
-            if tip <= seq[1]:
-                return None
             pc = (lmask[tip] & lmask[j1]).bit_length() - 1
-            if pc >= 0 and pmask[pc] & chosen_lines == (1 << j1) | (1 << tip):
+            if covered or (pc >= 0 and pmask[pc] & chosen_lines == (1 << j1) | (1 << tip)):
                 return InducedCycleWitness(tuple(seq), tuple(pts + [pc]))
             return None
 
@@ -283,45 +671,73 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
             avail ^= pb
             p = pb.bit_length() - 1
             hit_p = hit | pmask[p]
-            # lines placed after the next one enter through points not yet
-            # chosen, so they must miss every point chosen so far including p
-            if remaining > 1 and (above & ~hit_p).bit_count() < remaining:
-                continue
-            cands = pmask[p] & above & ~hit
+            if final:
+                cands = pmask[p] & closable & ~hit
+            else:
+                # lines placed after the next one, the last among them, enter
+                # through points not yet chosen, so they must miss every point
+                # chosen so far including p
+                if not closable & ~hit_p:
+                    continue
+                if remaining > 1 and (above & ~hit_p).bit_count() < remaining:
+                    continue
+                cands = pmask[p] & above & ~hit
             while cands:
                 cb = cands & -cands
                 cands ^= cb
                 cand = cb.bit_length() - 1
-                if not final and not lmask[cand] & ~cover_all & ~pb:
-                    continue  # no exit point: cand would dead-end
+                nxt = closable
+                if not final:
+                    if not lmask[cand] & ~cover_all & ~pb:
+                        continue  # no exit point: cand would dead-end
+                    if covered:
+                        nxt &= ~pmask[(lmask[cand] & lmask[j1]).bit_length() - 1]
                 seq.append(cand)
                 pts.append(p)
-                w = rec(seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand])
+                w = rec(seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand], nxt)
                 if w is not None:
                     return w
                 seq.pop()
                 pts.pop()
         return None
 
-    try:
-        for j1 in range(arr.k):
-            above = ((1 << arr.k) - 1) >> (j1 + 1) << (j1 + 1)
-            firsts = lmask[j1]
-            while firsts:
-                b1 = firsts & -firsts
-                firsts ^= b1
-                p1 = b1.bit_length() - 1
+    def explore(roots, plan: str) -> InducedCycleWitness | None:
+        nonlocal j1, above
+        for j1, above, firsts in roots:
+            for p1, closable, side in firsts:
                 rest = pmask[p1] & above
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     j2 = low.bit_length() - 1
-                    w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2])
+                    if side > 0:
+                        clos = closable & -(low << 1)  # the lines above j2
+                    elif side < 0:
+                        clos = closable & (low - 1)  # the lines below j2
+                    else:
+                        clos = closable
+                    w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
                     if w is not None:
-                        return SearchResult(FOUND, w, nodes)
+                        return w
+            _debug("i=%d %s plan: root line %d, %d first points exhausted, %d nodes", i, plan, j1, len(firsts), nodes)
+        return None
+
+    canonical = _canonical_roots(arr)
+    line0, above0, firsts0 = next(canonical)
+    try:
+        w = explore([(line0, above0, firsts0[:1])], "canonical")
+        if w is None and covered:
+            if sym.plan is _PENDING:
+                sym.plan = _orbit_plan(arr)
+            if sym.plan is not None and explore(sym.plan, "orbit") is None:
+                return SearchResult(ABSENT, None, nodes)
+        if w is None:
+            w = explore(chain([(line0, above0, firsts0[1:])], canonical), "canonical")
     except _BudgetHit:
         return SearchResult(UNKNOWN, None, nodes)
-    return SearchResult(ABSENT, None, nodes)
+    if w is None:
+        return SearchResult(ABSENT, None, nodes)
+    return SearchResult(FOUND, w, nodes)
 
 
 def _check_i(i: int) -> None:
@@ -352,9 +768,9 @@ def exists_cycle(
     """
     _check_i(i)
     _check_budget(budget)
-    if i > min(arr.k, arr.s):
-        return SearchResult(ABSENT, None, 0)
-    return _search(arr, i, budget)
+    res = SearchResult(ABSENT, None, 0) if i > min(arr.k, arr.s) else _search(arr, i, budget)
+    _debug("i=%d settled: %s after %d nodes", i, res.status, res.nodes)
+    return res
 
 
 def longest_cycle(
