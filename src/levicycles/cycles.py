@@ -22,12 +22,13 @@ The recursion also carries ``closable``, the lines that can still close the
 cycle, and never places a last line outside it.
 
 `Absent` is only reported after a plan has been exhausted; hitting the
-node budget yields `Unknown`, never a silent under-search.  Each call runs
-the canonical plan's first root prefix (line 0 and its first point); if
-that finds nothing, the orbit plan decides the status, and a found length
-is searched on by the canonical plan, so found witnesses are canonical
-and do not depend on the group.  When no symmetry is found, or some line
-pair does not meet exactly once, the canonical plan runs alone.
+node budget yields `Unknown`, never a silent under-search.  Each call first
+searches the orbit plan's first root prefix, line 0 with its least point,
+which needs no group; if that finds nothing, the rest of the orbit plan
+decides the status.  A found witness is always the canonical plan's first
+one, so it does not depend on the group.  When no symmetry is found, or
+some line pair does not meet exactly once, the canonical plan runs alone
+after the first prefix.
 
 The search is serial with one fixed schedule: root prefixes (first line,
 first point, second line) in plan order, each exhausted before the next,
@@ -48,7 +49,6 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 
 from .arrangement import Arrangement, ArrangementError, ValidationReport, _first_bad_pair, _is_index, _load_json
-from .levi import build_levi
 
 __all__ = [
     "FOUND",
@@ -183,17 +183,15 @@ def validate_witness(arr: Arrangement, w: InducedCycleWitness) -> ValidationRepo
             fail("inducedness", f"point {p} also lies on chosen line {min(extra)}")
 
     if not failures:
-        # Independent reading: the alternating vertex set must induce
-        # exactly the 2i cycle edges in the Levi graph.
+        # Independent reading, from the line side of the incidences: in the
+        # Levi graph the alternating vertex set must induce exactly the 2i
+        # cycle edges.  Only the chosen lines' neighbourhoods are read, so no
+        # whole graph is built per witness.
         checks["levi-agreement"] = True
-        g = build_levi(arr)
-        pts, lns = set(w.points), set(w.lines)
-        induced = [(p, j) for p, j in g.edges if p in pts and j in lns]
-        if len(induced) != 2 * i:
-            fail(
-                "levi-agreement",
-                f"vertex set induces {len(induced)} edges, not {2 * i}",
-            )
+        pts = set(w.points)
+        induced = sum(len(arr.line_points[j] & pts) for j in set(w.lines))
+        if induced != 2 * i:
+            fail("levi-agreement", f"vertex set induces {induced} edges, not {2 * i}")
     return ValidationReport(checks, tuple(failures))
 
 
@@ -524,9 +522,10 @@ def _orbit_plan(arr: Arrangement):
     r may use every line outside the orbits taken before; their first point
     p1 runs over the least points of the orbits of the stabiliser of r on
     the points of r, and a point in an orbit taken before p1's cannot close
-    the cycle.  Each entry is (r, allowed lines, ((p1, closable lines,
-    side), ...)), the shape of :func:`_canonical_roots`; ``side`` is 0, or
-    -1 where only last lines below j2 are left (see :func:`_search`).
+    the cycle.  Each entry is (r, allowed lines, ((p1, closable lines),
+    ...)), the shape of :func:`_canonical_roots`.  The plan's first root
+    prefix, line 0 with its least point, is left out: every search takes it
+    first (see :func:`_search`).
     """
     gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
     if not gens:
@@ -542,10 +541,8 @@ def _orbit_plan(arr: Arrangement):
         closed = 0
         for points in _stabiliser_point_orbits(arr, gens, r):
             p1 = points[0]
-            # line 0 with its least point is the canonical plan's first root
-            # prefix, searched with the last line above j2 before any plan
-            side = -1 if not plan and not firsts else 0
-            firsts.append((p1, _lines_through(pmask, lmask[r] & ~closed & ~(1 << p1)) & allowed, side))
+            if plan or closed:  # not line 0 with its least point
+                firsts.append((p1, _lines_through(pmask, lmask[r] & ~closed & ~(1 << p1)) & allowed))
             closed |= sum(1 << p for p in points)
         plan.append((r, allowed, tuple(firsts)))
         taken |= sum(1 << j for j in orbit)
@@ -575,7 +572,7 @@ def _canonical_roots(arr: Arrangement):
     """
     Every line j1 in turn, above it the lines > j1, and each point p1 of j1
     as first point, with the lines through the other points of j1 as
-    closable and side 1: the last line must be above j2.
+    closable.
     """
     lmask, pmask, k = arr.line_masks, arr.point_masks, arr.k
     for j1 in range(k):
@@ -585,7 +582,7 @@ def _canonical_roots(arr: Arrangement):
         while rest:
             b1 = rest & -rest
             rest ^= b1
-            firsts.append((b1.bit_length() - 1, _lines_through(pmask, lmask[j1] ^ b1) & above, 1))
+            firsts.append((b1.bit_length() - 1, _lines_through(pmask, lmask[j1] ^ b1) & above))
         yield j1, above, firsts
 
 
@@ -624,16 +621,19 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
       ``closable``, so the second line is smaller than the last.
     - The orbit plan (:func:`_orbit_plan`) takes one line per orbit of the
       automorphism group and, on it, one first point per orbit of the
-      line's stabiliser, with no tie-break, except that line 0 with its
-      first point keeps only lines < j2: the canonical plan's first prefix,
-      always searched before, covered the lines above.
+      line's stabiliser, with no tie-break.  Its first root prefix is
+      always line 0 with its least point, with every line above 0 allowed.
 
-    The canonical plan runs its first root prefix (line 0 and its first
-    point).  When that finds nothing and pair coverage holds, the orbit plan
-    is computed (once per arrangement) and decides the status; when it
-    finds a cycle, or no symmetry is known, the canonical plan goes on from
-    its second prefix and returns its first witness, so witnesses do not
-    depend on the group.  ``nodes`` and the budget count every run.
+    A call first searches that prefix, which needs no group.  When it finds
+    nothing and pair coverage holds, the orbit plan is computed (once per
+    arrangement) and the rest of it decides the status.  When a cycle
+    exists, or no symmetry is known, the witness is the canonical plan's
+    first one, so witnesses do not depend on the group.  The canonical
+    plan's first prefix is the same prefix with fewer leaves, in the same
+    order: a cycle found there first with its last line above j2 is that
+    witness, and the canonical plan runs only after an empty or a reversed
+    find, from its second or its first prefix.  ``nodes`` and the budget
+    count every run.
     """
     lmask, pmask = arr.line_masks, arr.point_masks
     sym = _symmetry(arr)
@@ -701,40 +701,49 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                 pts.pop()
         return None
 
-    def explore(roots, plan: str) -> InducedCycleWitness | None:
+    def explore(roots, tiebreak: bool, plan: str) -> InducedCycleWitness | None:
         nonlocal j1, above
         for j1, above, firsts in roots:
-            for p1, closable, side in firsts:
+            for p1, closable in firsts:
                 rest = pmask[p1] & above
                 while rest:
                     low = rest & -rest
                     rest ^= low
                     j2 = low.bit_length() - 1
-                    if side > 0:
-                        clos = closable & -(low << 1)  # the lines above j2
-                    elif side < 0:
-                        clos = closable & (low - 1)  # the lines below j2
-                    else:
-                        clos = closable
+                    # canonical form: the last line is above j2; -(low << 1)
+                    # has the bits of the lines above j2
+                    clos = closable & -(low << 1) if tiebreak else closable
                     w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
                     if w is not None:
                         return w
-            _debug("i=%d %s plan: root line %d, %d first points exhausted, %d nodes", i, plan, j1, len(firsts), nodes)
+            _debug("i=%d %s: root line %d, %d first points exhausted, %d nodes", i, plan, j1, len(firsts), nodes)
         return None
 
     canonical = _canonical_roots(arr)
     line0, above0, firsts0 = next(canonical)
     try:
-        w = explore([(line0, above0, firsts0[:1])], "canonical")
+        # line 0 with its least point in both orientations: the orbit plan's
+        # first root prefix, for which no group is needed
+        w = explore([(line0, above0, firsts0[:1])], False, "first prefix")
         if w is None and covered:
             if sym.plan is _PENDING:
                 sym.plan = _orbit_plan(arr)
-            if sym.plan is not None and explore(sym.plan, "orbit") is None:
+            if sym.plan is not None and explore(sym.plan, False, "orbit plan") is None:
                 return SearchResult(ABSENT, None, nodes)
+        # A cycle exists, or no symmetry is known.  The canonical plan's first
+        # prefix is the one above with the last line kept above j2: a subtree
+        # of it, walked in the same order, so a first find with its last line
+        # above j2 is the canonical witness too.
         if w is None:
-            w = explore(chain([(line0, above0, firsts0[1:])], canonical), "canonical")
+            w = explore(chain([(line0, above0, firsts0[1:])], canonical), True, "canonical plan")
+        elif w.lines[-1] < w.lines[1]:
+            w = explore(chain([(line0, above0, firsts0)], canonical), True, "canonical plan")
     except _BudgetHit:
         return SearchResult(UNKNOWN, None, nodes)
+    finally:
+        # rec reaches itself through its closure; breaking that cycle frees
+        # the call's functions at once instead of at a full collection
+        rec = None
     if w is None:
         return SearchResult(ABSENT, None, nodes)
     return SearchResult(FOUND, w, nodes)

@@ -611,13 +611,13 @@ GOLDEN_CLI = {
     "levi cyclic_nine_three --json": "dc3908b0e6c27a17",
     "cycles cyclic_nine_three --longest": "f42f9b461c02c799",
     "cycles cyclic_nine_three --longest --witness": "795c681fa1b7ac5a",
-    "cycles cyclic_nine_three --longest --format json": "7a9641f8b808e934",
+    "cycles cyclic_nine_three --longest --format json": "b99360986b2a3bec",
     "cycles mu4 --longest --witness": "c96f319c38726ff3",
     "cycles generic3 --longest --format json": "b301dc874ddb9f73",
     "cycles cyclic_nine_three --exists 8": "207d98fbe27c1400",
     "cycles cyclic_nine_three --exists 9 --witness": "6ea24a50ec3cb009",
-    "cycles cyclic_nine_three --exists 9 --format json": "caf505ae496b5612",
-    "cycles mu4 --exists 5 --format json": "2a67dc5f8cdcf943",
+    "cycles cyclic_nine_three --exists 9 --format json": "590edd7c1ab69bdc",
+    "cycles mu4 --exists 5 --format json": "3aef7e19e02da193",
     "cycles mu4 --spectrum 6 --witness": "3e9da4f219a971f6",
     "cycles mu4 --spectrum 6 --format json": "e602369f793175fb",
     "cycles cyclic_nine_three --spectrum 9 --witness": "fecea15ffc0864c7",
@@ -627,7 +627,7 @@ GOLDEN_CLI = {
     "verify ten_line --all": "e652ce37b3ba227c",
     "verify ten_line --all --format json": "3df46ec3d547c8b1",
     "verify generic3 --all": "c126bd6462d0624f",
-    "verify mu4 --all --format json": "94e17b8ea1159da7",
+    "verify mu4 --all --format json": "98a22ade5f6b37ae",
     "verify cyclic_nine_three --claim c6": "f4d3bdc74af1356d",
     "verify cyclic_nine_three --claim c8": "3625b23590fc9504",
     "verify cyclic_nine_three --claim c10": "84724ff341f1461b",
@@ -639,12 +639,12 @@ GOLDEN_CLI = {
     "verify generic3 --claim no-2k-supersolvable": "d215d3a54f7d1dc2",
     "verify --claim nine-three-longest": "a539dca77d42376f",
     "verify --claim ten-line-longest": "7b7fb220554c2411",
-    "verify --claim hesse-longest --format json": "83cf382f5a225eb8",
+    "verify --claim hesse-longest --format json": "869211ae80876ac7",
     "verify --claim mu4-longest": "28e06af1b0ee499f",
     "verify --claim ceva-range --n 4": "e0a21d71da233e7e",
     "verify --claim ceva-range --n 5 --format json": "7b25adc2ef2d4dfc",
     "verify --claim mu3-range --m 4": "4aed9e91bad52d9d",
-    "verify --claim mu3-range --m 5 --format json": "9bfc38acea99b6e1",
+    "verify --claim mu3-range --m 5 --format json": "68eaeca04c006ca6",
     "verify --claim awk-max --m 5 --k 1": "b63d4990fb171cee",
     "verify --claim awk-max --m 6 --k 2 --chosen 0,2": "bfb3cd3ba20b691f",
     "verify --claim awk-max --m 8 --k 2": "603c1993f60c6e0e",

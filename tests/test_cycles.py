@@ -276,7 +276,7 @@ def _shuffled(arr, rng):
 # keep them, the found sets and the canonical witnesses exactly.
 GOLDEN = [
     (
-        "hesse", families.hesse, 1123, 1114,
+        "hesse", families.hesse, 860, 845,
         {
             3: ((0, 3, 10), (0, 3, 2)),
             4: ((0, 3, 1, 4), (0, 3, 4, 1)),
@@ -285,7 +285,7 @@ GOLDEN = [
         },
     ),
     (
-        "ceva4", lambda: families.ceva(4), 547, 525,
+        "ceva4", lambda: families.ceva(4), 403, 379,
         {
             3: ((0, 4, 9), (0, 4, 5)),
             4: ((0, 4, 1, 7), (0, 4, 3, 15)),
@@ -296,7 +296,7 @@ GOLDEN = [
         },
     ),
     (
-        "mu3_5", lambda: families.supersolvable_mu3(5), 892, 405,
+        "mu3_5", lambda: families.supersolvable_mu3(5), 752, 349,
         {
             3: ((0, 3, 7), (0, 3, 4)),
             4: ((0, 3, 1, 5), (0, 3, 2, 8)),
@@ -310,7 +310,7 @@ GOLDEN = [
         },
     ),
     (
-        "nine_three", cyclic_nine_three, 189, 28,
+        "nine_three", cyclic_nine_three, 185, 26,
         {
             3: ((0, 1, 3), (0, 3, 9)),
             4: ((0, 1, 3, 7), (0, 3, 5, 2)),
@@ -324,7 +324,7 @@ GOLDEN = [
         },
     ),
     (
-        "awk62", lambda: families.a_w_k(6, 2), 1320, 129,
+        "awk62", lambda: families.a_w_k(6, 2), 1181, 119,
         {
             3: ((0, 1, 2), (0, 2, 1)),
             4: ((0, 1, 11, 7), (0, 2, 3, 1)),
@@ -354,7 +354,7 @@ GOLDEN = [
         },
     ),
     (
-        "mu3_5_relabeled", lambda: _shuffled(families.supersolvable_mu3(5), random.Random(3)), 867, 321,
+        "mu3_5_relabeled", lambda: _shuffled(families.supersolvable_mu3(5), random.Random(3)), 703, 276,
         {
             3: ((0, 5, 10), (0, 4, 10)),
             4: ((0, 5, 10, 8), (0, 4, 2, 20)),
