@@ -112,8 +112,9 @@ class Arrangement:
     bit p = point p lies on the line; ``point_masks`` bit j = line j passes
     through the point) for O(1) membership tests in the cycle solver.
     Instances are immutable; the one private slot, ``_symmetry``, holds what
-    the cycle solver computes once per arrangement (pair coverage and the
-    orbit root plan), filled on first use.
+    the cycle solver computes once per arrangement: None until the first
+    search, then the pair (every line pair meets once, orbit root plan),
+    whose plan stays None until a search gets past its first root prefix.
     """
 
     __slots__ = (

@@ -9,31 +9,34 @@ Inducedness is maintained incrementally with the arrangement's own incidence
 bitsets (``line_masks``, ``point_masks``), so accepted sequences never need a
 post-hoc filter and a call builds no table of its own.
 
-Two root plans share one recursion.  The canonical plan breaks the
-dihedral symmetry of a cycle: the first line is the smallest chosen line
-and the second is smaller than the last.  The orbit plan breaks the
-symmetry of the arrangement as well: it roots one line per orbit of the
-incidence automorphism group, and on it one first point per orbit of that
-line's stabiliser, so an absence proof searches one copy of each symmetric
-subtree (McKay's orderly scheme, "Isomorph-free exhaustive generation",
-1998).  The group comes from individualisation-refinement on the Levi
-graph, and every generator is checked to preserve incidences before use.
-The recursion also carries ``closable``, the lines that can still close the
-cycle, and never places a last line outside it.
+One loop walks the roots of a lazily produced root plan through one
+recursion.  Its first root prefix is line 0 at its least point, in both
+orientations, which needs no group.  The orbit plan follows: one root line
+per orbit of the incidence automorphism group, and on it one first point
+per orbit of that line's stabiliser, so an absence proof searches one copy
+of each symmetric subtree (McKay's orderly scheme, "Isomorph-free
+exhaustive generation", 1998).  The group comes from
+individualisation-refinement on the Levi graph, once per arrangement and
+only when the first prefix found nothing, and every generator is checked
+to preserve incidences before use.  When no symmetry is verified, or some
+line pair does not meet exactly once, the canonical plan follows instead:
+every line as root with the lines above it, and a tie-break that keeps the
+second line smaller than the last.  The recursion also carries
+``closable``, the lines that can still close the cycle, and never places a
+last line outside it.
 
-`Absent` is only reported after a plan has been exhausted; hitting the
-node budget yields `Unknown`, never a silent under-search.  Each call first
-searches the orbit plan's first root prefix, line 0 with its least point,
-which needs no group; if that finds nothing, the rest of the orbit plan
-decides the status.  A found witness is always the canonical plan's first
-one, so it does not depend on the group.  When no symmetry is found, or
-some line pair does not meet exactly once, the canonical plan runs alone
-after the first prefix.
+`Absent` is only reported after the plan has been exhausted; hitting the
+node budget yields `Unknown`, never a silent under-search.  A found
+witness is always the canonical plan's first find, so it does not depend
+on the group.  The first orbit root to find a cycle is the least line on
+any cycle of that length, so only that root's canonical walk runs for the
+witness, and not even that when the find is at the root's least point and
+already in canonical form.
 
 The search is serial with one fixed schedule: root prefixes (first line,
 first point, second line) in plan order, each exhausted before the next,
-stopping at the first witness.  Statuses, witnesses and node counts are
-therefore deterministic; node counts include every plan a call ran.  The
+stopping at the first find.  Statuses, witnesses and node counts are
+therefore deterministic; node counts include the witness walk.  The
 budget caps the nodes of one `exists_cycle` call; `longest_cycle` and
 `spectrum` apply it to each length.  Progress goes to the
 ``levicycles.cycles`` logger at debug level: one record per exhausted
@@ -46,7 +49,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain
 
 from .arrangement import Arrangement, ArrangementError, ValidationReport, _first_bad_pair, _is_index, _load_json
 
@@ -73,7 +75,7 @@ NO_INDUCED_CYCLE = "no-induced-cycle"
 
 
 class BadLength(ArrangementError):
-    """Requested cycle length is impossible for a Levi graph (i < 3)."""
+    """A cycle length no Levi graph has (i < 3), or a witness that cannot describe a cycle."""
 
 
 @dataclass(frozen=True)
@@ -98,21 +100,29 @@ class InducedCycleWitness:
         """
         Rotation/reflection representative: smallest line first, second
         line smaller than the last.
+
+        Raises BadLength for a witness that has no such form: fewer than 3
+        lines, a point count other than its line count, or an id that is
+        not an integer.
         """
         i = len(self.lines)
-        best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-        for lines, points in (
-            (self.lines, self.points),
-            # reversed traversal: same first line, lines backwards, and
-            # points shifted so points[t] still meets lines[t], lines[t+1]
-            (self.lines[:1] + self.lines[:0:-1], self.points[::-1]),
-        ):
-            for r in range(i):
-                cand = (lines[r:] + lines[:r], points[r:] + points[:r])
-                if cand[0][0] == min(lines) and (best is None or cand < best):
-                    best = cand
-        assert best is not None
-        return InducedCycleWitness(*best)
+        if i < 3 or len(self.points) != i:
+            raise BadLength(f"a witness needs i >= 3 lines and as many points, got {i} lines and {len(self.points)} points")
+        for x in (*self.lines, *self.points):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise BadLength(f"witness ids must be integers, got {x!r}")
+        least = min(self.lines)
+        return InducedCycleWitness(*min(
+            (lines[r:] + lines[:r], points[r:] + points[:r])
+            for lines, points in (
+                (self.lines, self.points),
+                # reversed traversal: same first line, lines backwards, and
+                # points shifted so points[t] still meets lines[t], lines[t+1]
+                (self.lines[:1] + self.lines[:0:-1], self.points[::-1]),
+            )
+            for r in range(i)
+            if lines[r] == least
+        ))
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(asdict(self), indent=indent)
@@ -504,91 +514,93 @@ def _stabiliser_point_orbits(arr: Arrangement, gens: list[list[int]], r: int) ->
     return [[v - k for v in orbit] for orbit in _orbits(points, moves)]
 
 
-def _lines_through(pmask, points: int) -> int:
-    """The lines through any of the points in the bitmask ``points``."""
-    lines = 0
-    while points:
-        low = points & -points
-        points ^= low
-        lines |= pmask[low.bit_length() - 1]
-    return lines
-
-
-def _orbit_plan(arr: Arrangement):
+def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits=None) -> list[tuple[int, int]]:
     """
-    Root plan over orbit representatives, or None when no symmetry is found.
+    The first points of root line r, each with its closable lines.
+
+    ``orbits`` are the point orbits of the stabiliser of r, in order: each
+    gives its least point as p1, and its points are closed for the orbits
+    after it.  Without them every point of r is a first point and none is
+    closed, as in the canonical walk.  The closable lines of p1 are the
+    allowed lines through a point of r other than p1 and the closed points.
+    When every line pair meets once, each allowed line meets r in exactly
+    one point, so they are the allowed lines through neither p1 nor a
+    closed point, and the work is linear in the points of r; otherwise the
+    union over the other points is taken.
+    """
+    pmask = arr.point_masks
+    firsts, closed, through = [], set(), 0  # the closed points and the lines through them
+    for points in orbits or [[p] for p in sorted(arr.line_points[r])]:
+        p1 = points[0]
+        if covered:
+            lines = ~(pmask[p1] | through)
+        else:
+            lines = 0
+            for p in arr.line_points[r] - closed - {p1}:
+                lines |= pmask[p]
+        firsts.append((p1, allowed & lines))
+        for p in points if orbits else ():
+            closed.add(p)
+            through |= pmask[p]
+    return firsts
+
+
+def _orbit_plan(arr: Arrangement) -> tuple:
+    """
+    Root plan over orbit representatives, empty when no symmetry is found.
 
     Line orbits are taken in order of their least line r.  The cycles through
     r may use every line outside the orbits taken before; their first point
     p1 runs over the least points of the orbits of the stabiliser of r on
     the points of r, and a point in an orbit taken before p1's cannot close
     the cycle.  Each entry is (r, allowed lines, ((p1, closable lines),
-    ...)), the shape of :func:`_canonical_roots`.  The plan's first root
-    prefix, line 0 with its least point, is left out: every search takes it
-    first (see :func:`_search`).
+    ...)); the first is line 0 with its least point first.  The closable
+    masks assume pair coverage, which the search checks before asking.
     """
     gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
     if not gens:
-        return None
+        return ()
     k = arr.k
-    lmask, pmask = arr.line_masks, arr.point_masks
     plan = []
     taken = 0
     for orbit in _orbits(range(k), [(j, g[j]) for g in gens for j in range(k)]):
         r = orbit[0]
         allowed = ((1 << k) - 1) & ~taken & ~(1 << r)
-        firsts = []
-        closed = 0
-        for points in _stabiliser_point_orbits(arr, gens, r):
-            p1 = points[0]
-            if plan or closed:  # not line 0 with its least point
-                firsts.append((p1, _lines_through(pmask, lmask[r] & ~closed & ~(1 << p1)) & allowed))
-            closed |= sum(1 << p for p in points)
-        plan.append((r, allowed, tuple(firsts)))
+        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, True, _stabiliser_point_orbits(arr, gens, r)))))
         taken |= sum(1 << j for j in orbit)
     return tuple(plan)
 
 
-_PENDING = object()  # the orbit plan has not been needed yet
-
-
-class _Symmetry:
-    """What the search computes at most once per arrangement (``Arrangement._symmetry``)."""
-
-    __slots__ = ("covered", "plan")
-
-    def __init__(self, arr: Arrangement) -> None:
-        self.covered = _first_bad_pair(arr) is None  # every line pair meets in exactly one point
-        self.plan = _PENDING  # then the orbit plan, or None
-
-
-def _symmetry(arr: Arrangement) -> _Symmetry:
-    if arr._symmetry is None:
-        object.__setattr__(arr, "_symmetry", _Symmetry(arr))  # Arrangement blocks plain assignment
-    return arr._symmetry
-
-
-def _canonical_roots(arr: Arrangement):
+def _roots(arr: Arrangement, covered: bool):
     """
-    Every line j1 in turn, above it the lines > j1, and each point p1 of j1
-    as first point, with the lines through the other points of j1 as
-    closable.
+    The root plan, produced lazily: per root, (root line, allowed lines,
+    first points with their closable lines, tie-break).
+
+    Line 0 at its least point comes first, with every other line allowed
+    and no tie-break; it needs no group.  Then, when pair coverage holds
+    and symmetry is verified, the orbit plan follows, without its own copy
+    of that root prefix.  Otherwise the canonical plan follows, from the
+    same place, with its tie-break: every line j1 in turn with the lines
+    above it allowed, and every point of j1 as first point.  The orbit plan
+    is computed once per arrangement and kept in ``arr._symmetry``.
     """
-    lmask, pmask, k = arr.line_masks, arr.point_masks, arr.k
-    for j1 in range(k):
-        above = ((1 << k) - 1) >> (j1 + 1) << (j1 + 1)
-        firsts = []
-        rest = lmask[j1]
-        while rest:
-            b1 = rest & -rest
-            rest ^= b1
-            firsts.append((b1.bit_length() - 1, _lines_through(pmask, lmask[j1] ^ b1) & above))
-        yield j1, above, firsts
+    every = (1 << arr.k) - 1
+    yield 0, every - 1, _firsts(arr, 0, every - 1, covered)[:1], False
+    plan = arr._symmetry[1] if covered else ()
+    if plan is None:
+        plan = _orbit_plan(arr)
+        object.__setattr__(arr, "_symmetry", (True, plan))
+    for r, allowed, firsts in plan:
+        yield r, allowed, firsts[r == 0:], False  # r == 0 only at the first entry
+    if not plan:
+        for j1 in range(arr.k):
+            above = every >> (j1 + 1) << (j1 + 1)
+            yield j1, above, _firsts(arr, j1, above, covered)[j1 == 0:], True
 
 
 def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     """
-    Line-sequence DFS over one arrangement, under two root plans.
+    Line-sequence DFS over one arrangement, one root at a time.
 
     All incidence tests are bitmask operations on the arrangement's own
     views: lmask[j] is the point set of line j, pmask[p] the line set
@@ -616,30 +628,25 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     meets exactly once, a last line from ``closable`` always closes the
     cycle; otherwise the update is skipped and the closure is tested.
 
-    - The canonical plan takes every line j1 in order with the lines above
-      it, every point of j1 as p1, and keeps only lines > j2 in
-      ``closable``, so the second line is smaller than the last.
-    - The orbit plan (:func:`_orbit_plan`) takes one line per orbit of the
-      automorphism group and, on it, one first point per orbit of the
-      line's stabiliser, with no tie-break.  Its first root prefix is
-      always line 0 with its least point, with every line above 0 allowed.
-
-    A call first searches that prefix, which needs no group.  When it finds
-    nothing and pair coverage holds, the orbit plan is computed (once per
-    arrangement) and the rest of it decides the status.  When a cycle
-    exists, or no symmetry is known, the witness is the canonical plan's
-    first one, so witnesses do not depend on the group.  The canonical
-    plan's first prefix is the same prefix with fewer leaves, in the same
-    order: a cycle found there first with its last line above j2 is that
-    witness, and the canonical plan runs only after an empty or a reversed
-    find, from its second or its first prefix.  ``nodes`` and the budget
-    count every run.
+    The roots come from :func:`_roots`, and the first one to find a cycle
+    settles the length; when none does, the length is absent.  A root of
+    the canonical plan keeps only lines above j2 in ``closable``, so the
+    second line is smaller than the last, and its first find is the
+    witness.  A root r of the orbit plan finds a cycle only after every
+    earlier orbit found none, so no line of those orbits, and no line
+    below r, lies on a cycle of length 2i.  The canonical witness is then
+    the first find of the canonical walk of r alone, over the lines r
+    allows.  At r's least point that walk is the orbit walk with the
+    tie-break, in the same order, so a find there with its last line above
+    j2 is the witness already; otherwise the walk runs, without the least
+    point when it found nothing.  ``nodes`` and the budget count both walks.
     """
     lmask, pmask = arr.line_masks, arr.point_masks
-    sym = _symmetry(arr)
-    covered = sym.covered
+    if arr._symmetry is None:  # pair coverage now, the orbit plan once a root needs it
+        object.__setattr__(arr, "_symmetry", (_first_bad_pair(arr) is None, None))  # Arrangement blocks plain assignment
+    covered = arr._symmetry[0]
     nodes = 0
-    j1 = above = 0  # the root line and the lines that may follow it, set by explore
+    j1 = above = 0  # the root line and the lines that may follow it, set by walk
 
     def rec(
         seq: list[int],
@@ -701,51 +708,40 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                 pts.pop()
         return None
 
-    def explore(roots, tiebreak: bool, plan: str) -> InducedCycleWitness | None:
+    def walk(root: int, allowed: int, firsts, tiebreak: bool) -> InducedCycleWitness | None:
         nonlocal j1, above
-        for j1, above, firsts in roots:
-            for p1, closable in firsts:
-                rest = pmask[p1] & above
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    j2 = low.bit_length() - 1
-                    # canonical form: the last line is above j2; -(low << 1)
-                    # has the bits of the lines above j2
-                    clos = closable & -(low << 1) if tiebreak else closable
-                    w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
-                    if w is not None:
-                        return w
-            _debug("i=%d %s: root line %d, %d first points exhausted, %d nodes", i, plan, j1, len(firsts), nodes)
+        j1, above = root, allowed
+        for p1, closable in firsts:
+            rest = pmask[p1] & above
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j2 = low.bit_length() - 1
+                # canonical form: the last line is above j2; -(low << 1)
+                # has the bits of the lines above j2
+                clos = closable & -(low << 1) if tiebreak else closable
+                w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
+                if w is not None:
+                    return w
         return None
 
-    canonical = _canonical_roots(arr)
-    line0, above0, firsts0 = next(canonical)
     try:
-        # line 0 with its least point in both orientations: the orbit plan's
-        # first root prefix, for which no group is needed
-        w = explore([(line0, above0, firsts0[:1])], False, "first prefix")
-        if w is None and covered:
-            if sym.plan is _PENDING:
-                sym.plan = _orbit_plan(arr)
-            if sym.plan is not None and explore(sym.plan, False, "orbit plan") is None:
-                return SearchResult(ABSENT, None, nodes)
-        # A cycle exists, or no symmetry is known.  The canonical plan's first
-        # prefix is the one above with the last line kept above j2: a subtree
-        # of it, walked in the same order, so a first find with its last line
-        # above j2 is the canonical witness too.
-        if w is None:
-            w = explore(chain([(line0, above0, firsts0[1:])], canonical), True, "canonical plan")
-        elif w.lines[-1] < w.lines[1]:
-            w = explore(chain([(line0, above0, firsts0)], canonical), True, "canonical plan")
+        for r, allowed, firsts, tiebreak in _roots(arr, covered):
+            w = walk(r, allowed, firsts, tiebreak)
+            if w is not None:
+                break
+            _debug("i=%d root line %d: %d first points exhausted, %d nodes", i, r, len(firsts), nodes)
+        else:
+            return SearchResult(ABSENT, None, nodes)
+        least = w.points[0] == (lmask[r] & -lmask[r]).bit_length() - 1
+        if not (tiebreak or least and w.lines[-1] > w.lines[1]):
+            w = walk(r, allowed, _firsts(arr, r, allowed, covered)[not least:], True)
     except _BudgetHit:
         return SearchResult(UNKNOWN, None, nodes)
     finally:
         # rec reaches itself through its closure; breaking that cycle frees
         # the call's functions at once instead of at a full collection
         rec = None
-    if w is None:
-        return SearchResult(ABSENT, None, nodes)
     return SearchResult(FOUND, w, nodes)
 
 
@@ -770,9 +766,9 @@ def exists_cycle(
     """
     Decide whether the Levi graph of arr has an induced cycle of length 2i.
 
-    Returns Found with a canonical witness, Absent after exhausting the
-    canonical enumeration, or Unknown when the search visited more than
-    ``budget`` nodes first.  The budget must be None or a non-negative node
+    Returns Found with a canonical witness, Absent after exhausting the root
+    plan, or Unknown when the search visited more than ``budget`` nodes
+    first.  The budget must be None or a non-negative node
     count for the whole call; a negative one raises ArrangementError.
     """
     _check_i(i)

@@ -407,8 +407,8 @@ GOLDEN_VERDICTS = {
     "near_pencil(7)": ("CNNNCC", 10, "CNNNCC", 10),
     "near_pencil(8)": ("CNNNCC", 11, "CNNNCC", 11),
     "two_modular(2,3)": ("CNNCRC", 12, "CNNCRC", 12),
-    "two_modular(3,4)": ("CCNNCC", 33, "CCNNCC", 33),
-    "two_modular(5,6)": ("CCCNCC", 128, "CCUNCC", 112),
+    "two_modular(3,4)": ("CCNNCC", 27, "CCNNCC", 27),
+    "two_modular(5,6)": ("CCCNCC", 120, "CCUNCC", 104),
     "generic(3)": ("CNNNNR", 4, "CNNNNR", 4),
     "generic(4)": ("CCNNNN", 5, "CCNNNN", 5),
     "generic(5)": ("CCNNNN", 5, "CCNNNN", 5),
@@ -416,8 +416,8 @@ GOLDEN_VERDICTS = {
     "nine_three": ("CCNCCN", 15, "CCNCCN", 15),
     "ten_line": ("CCNCCN", 23, "CCNCCN", 23),
     "mu4": ("CCNCCC", 21, "CCNCCC", 21),
-    "a_w_k(5,0)": ("CCNNCC", 46, "CCNNCC", 46),
-    "a_w_k(5,1)": ("CCRNCC", 88, "CCUNCC", 70),
+    "a_w_k(5,0)": ("CCNNCC", 38, "CCNNCC", 38),
+    "a_w_k(5,1)": ("CCRNCC", 61, "CCRNCC", 61),
     "hesse": ("CCNNCN", 14, "CCNNCN", 14),
     "ceva(4)": ("CCNNCN", 14, "CCNNCN", 14),
     "ceva(5)": ("CCNNCN", 14, "CCNNCN", 14),

@@ -289,8 +289,9 @@ _reader_near_miss = st.builds(
 @example("[" * 100_000)
 @example(json.dumps(_VALID_WITNESS))
 def test_fuzz_levi_and_witness_readers(text):
-    # Only ArrangementError may leave a reader, and a witness that loads is
-    # checked by validate_witness without raising.
+    # Only ArrangementError may leave a reader, a witness that loads is
+    # checked by validate_witness without raising, and its canonical form
+    # is either computed or refused with an ArrangementError.
     with contextlib.suppress(ArrangementError):
         levi_from_json(text)
     try:
@@ -298,6 +299,8 @@ def test_fuzz_levi_and_witness_readers(text):
     except ArrangementError:
         return
     validate_witness(_NINE_THREE, witness)
+    with contextlib.suppress(ArrangementError):
+        witness.canonical()
 
 
 # argv for the commands that read FILE: mostly their own flags, a foreign

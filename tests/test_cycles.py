@@ -81,6 +81,23 @@ def test_canonical_identifies_rotations_and_reflections():
         assert validate_witness(arr, w).passed
 
 
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        ('{"lines": [], "points": []}', "0 lines and 0 points"),
+        ('{"lines": [0, 1, 2], "points": [5]}', "3 lines and 1 points"),
+        ('{"lines": [0, "a", 2], "points": [1, 2, 3]}', "got 'a'"),
+        ('{"lines": [0, 1, 2], "points": [1, true, 3]}', "got True"),
+    ],
+)
+def test_canonical_rejects_malformed_witnesses(text, problem):
+    # from_json loads these; canonical() names what is wrong instead of
+    # failing an assertion, comparing a string or rotating a bad shape
+    w = InducedCycleWitness.from_json(text)
+    with pytest.raises(BadLength, match=problem):
+        w.canonical()
+
+
 def test_solver_witnesses_are_canonical():
     arr = cyclic_nine_three()
     r = exists_cycle(arr, 9)

@@ -91,10 +91,10 @@ def test_orbit_plan_takes_one_root_per_line_orbit():
     r, allowed, firsts = plan[0]
     assert allowed == ((1 << arr.k) - 1) & ~1
     # The triple points form one orbit, whose least point 0 is the first
-    # root prefix every search takes before the plan.  The 6-fold point 36
-    # can close only a cycle whose first point is a triple point, so no
+    # root prefix: every line not through it can close.  The 6-fold point
+    # 36 can close only a cycle whose first point is a triple point, so no
     # line is left to close from it.
-    assert firsts == ((36, 0),)
+    assert firsts == ((0, allowed & ~arr.point_masks[0]), (36, 0))
 
 
 # -- soundness of the generators
@@ -138,11 +138,12 @@ def test_orbits_are_computed_lazily(monkeypatch):
     r = exists_cycle(arr, 3)  # found under line 0 and its first point
     assert (r.status, r.witness.lines[:1], r.witness.points[0]) == (FOUND, (0,), min(arr.line_points[0]))
     assert exists_cycle(arr, arr.k + 1).nodes == 0  # i > min(k, s): absent by counting
-    assert calls == []
-    assert arr._symmetry.plan is cycles._PENDING
+    assert calls == []  # a first-prefix answer computes no group
     spec = spectrum(arr)
     assert spec.results[13].status == ABSENT
     assert calls == [arr]  # once per arrangement, however many lengths need it
+    spectrum(arr)
+    assert calls == [arr]
 
 
 @pytest.mark.parametrize("cap", [0, 1000, 1500])
@@ -169,7 +170,7 @@ POOL = build_full_pool()
 def test_orbit_plan_statuses_match_canonical_plan(monkeypatch, seed):
     pool = [(name, arr if seed is None else _shuffled(arr, seed)) for name, arr in POOL]
     with_orbits = {name: _answers(spectrum(_fresh(arr))) for name, arr in pool}
-    monkeypatch.setattr(cycles, "_orbit_plan", lambda arr: None)  # the canonical plan alone
+    monkeypatch.setattr(cycles, "_automorphisms", lambda arr: [])  # no symmetry: the canonical plan alone
     for name, arr in pool:
         assert _answers(spectrum(_fresh(arr))) == with_orbits[name], name
 
@@ -212,7 +213,41 @@ def test_broken_pair_coverage_runs_canonical_plan_only(monkeypatch, name, arr, f
     spec = spectrum(arr)
     assert {i: (r.witness.lines, r.witness.points) for i, r in spec.results.items() if r.status == FOUND} == found
     assert all(r.status == ABSENT for i, r in spec.results.items() if i not in found)
-    assert not arr._symmetry.covered
+    assert arr._symmetry == (False, None)  # no pair coverage, and no orbit plan asked for
+
+
+def _closable_by_definition(arr, r, allowed, orbits, closing):
+    """The allowed lines through a point of r other than p1 and the closed points, by union."""
+    firsts, closed = [], set()
+    for points in orbits:
+        p1 = points[0]
+        lines = set().union(*(arr.point_lines[p] for p in arr.line_points[r] - closed - {p1}))
+        firsts.append((p1, sum(1 << j for j in lines) & allowed))
+        if closing:
+            closed.update(points)
+    return firsts
+
+
+MASK_CASES = POOL + [(name, arr) for name, arr, _ in _broken()]
+
+
+@pytest.mark.parametrize("name,arr", MASK_CASES, ids=[name for name, _ in MASK_CASES])
+def test_first_point_masks_match_their_definition(name, arr):
+    # Both plans' closable masks, from the linear rule where every line pair
+    # meets once and from the union where it does not, against the union.
+    covered = validate_arrangement(arr).checks["pair-coverage"]
+    every = (1 << arr.k) - 1
+    for r in range(arr.k):  # the canonical plan: every point, nothing closed
+        above = every >> (r + 1) << (r + 1)
+        points = [[p] for p in sorted(arr.line_points[r])]
+        assert cycles._firsts(arr, r, above, covered) == _closable_by_definition(arr, r, above, points, False), r
+    gens = cycles._automorphisms(arr)
+    plan = cycles._orbit_plan(arr) if covered else [(r, every & ~(1 << r), None) for r in range(arr.k)]
+    for r, allowed, firsts in plan:
+        orbits = cycles._stabiliser_point_orbits(arr, gens, r)
+        if not covered:  # the union rule with closed points, which no search asks for yet
+            firsts = cycles._firsts(arr, r, allowed, False, orbits)
+        assert list(firsts) == _closable_by_definition(arr, r, allowed, orbits, True), r
 
 
 # -- progress logging
@@ -224,8 +259,8 @@ def test_progress_is_logged_at_debug_level(caplog):
     r = exists_cycle(arr, 9)
     assert r.status == ABSENT
     messages = [rec.getMessage() for rec in caplog.records if rec.name == "levicycles.cycles"]
-    assert messages[0].startswith("i=9 first prefix: root line 0, 1 first points exhausted, ")
-    roots = [m for m in messages if m.startswith("i=9 orbit plan: root line ")]
-    assert len(roots) == len(arr._symmetry.plan)
+    assert messages[0].startswith("i=9 root line 0: 1 first points exhausted, ")
+    roots = [m for m in messages if m.startswith("i=9 root line ")]
+    assert len(roots) == 1 + len(arr._symmetry[1])  # the first root prefix, then the orbit plan
     assert messages[-1] == f"i=9 settled: absent after {r.nodes} nodes"
-    assert len(messages) == 2 + len(roots)
+    assert len(messages) == 1 + len(roots)
