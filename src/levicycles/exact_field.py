@@ -1,12 +1,18 @@
 """Exact scalar arithmetic: rationals and cyclotomic field elements.
 
 Rationals are plain :class:`fractions.Fraction`.  A :class:`CycloNumber` is
-an element of Q(e) with e a primitive n-th root of unity, stored as a
-rational-coefficient polynomial in e reduced modulo the n-th cyclotomic
-polynomial.  All equality and zero tests are exact; nothing here ever touches
-floating point.  One polynomial division, :func:`_divmod`, builds the
-cyclotomic polynomials, reduces every arithmetic result and drives the
-extended-Euclid inverse.
+an element of Q(e) with e a primitive n-th root of unity.  It is stored
+fraction-free: integer numerators of 1, e, ..., e^(phi(n)-1) over one
+positive common denominator, in lowest terms.  Sums and products are
+computed in integers and reduced modulo the n-th cyclotomic polynomial
+Phi_n, which is monic with integer coefficients, so the one polynomial
+division, :func:`_divmod`, never divides a coefficient.  The inverse of a is
+the product of its other Galois conjugates divided by the rational norm of
+a (H. Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+Springer 1993).  Its coefficients have about phi(n) times the digits of a's;
+the extended Euclid over Q that it replaces grew its intermediate
+coefficients far past that.  All equality and zero tests are exact; nothing
+here ever touches floating point.
 
 Scalars travel as text in one grammar for both fields (:func:`format_scalar`
 writes it, :func:`parse_scalar` reads it): a signed sum of terms ``a``,
@@ -15,15 +21,18 @@ writes it, :func:`parse_scalar` reads it): a signed sum of terms ``a``,
 ``[+-]a[/b]``; decimals, exponent notation (``1e5``) and ``_`` separators are
 not part of the grammar.  Python's limit on integer-string digits (4300 by
 default) caps each coefficient.  Arrangement documents also bound the
-conductor (``projective.MAX_CONDUCTOR``) and the line count
+conductor (``projective.MAX_CONDUCTOR``), the length of each scalar string
+(``projective.MAX_SCALAR_CHARS``) and the line count
 (``arrangement.MAX_LINES``); values built in Python are unbounded.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -35,40 +44,32 @@ __all__ = [
     "format_scalar",
 ]
 
-_ZERO = Fraction(0)
-
 
 class ConductorMismatch(ValueError):
     """Mixed ``CycloNumber`` conductors in one operation."""
 
 
-def _divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+def _divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """
-    Quotient and remainder of two polynomials (ascending int or Fraction
-    coefficients) over Q.
+    Quotient and remainder of two integer polynomials (ascending
+    coefficients), ``den`` monic.
 
-    ``den`` must have a nonzero leading coefficient.  A monic ``den`` (every
-    cyclotomic polynomial) is never divided by, so integer input stays
-    integer.  The remainder has its trailing zeros stripped: the zero
-    polynomial comes back as ``[]``.
+    The remainder always has ``len(den) - 1`` coefficients, zero-padded.
     """
     num = list(num)
     deg = len(den) - 1
-    lead = den[-1]
-    monic = lead == 1
-    terms = [(i, d) for i, d in enumerate(den) if d]
+    if len(num) < deg:
+        return [0], num + [0] * (deg - len(num))
+    # The leading term cancels by construction and is never read again.
+    terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
     quo = [0] * max(1, len(num) - deg)
     for shift in range(len(num) - len(den), -1, -1):
         c = num[shift + deg]
         if c:
-            if not monic:
-                c = c / lead
             quo[shift] = c
             for i, d in terms:
                 num[shift + i] -= c * d
     del num[deg:]
-    while num and not num[-1]:
-        num.pop()
     return quo, num
 
 
@@ -89,29 +90,110 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             work, rem = _divmod(work, cyclotomic_polynomial(d))
-            assert not rem, f"non-exact division building Phi_{n}"
+            assert not any(rem), f"non-exact division building Phi_{n}"
     return tuple(work)
+
+
+def _mul_mod(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two reduced integer numerator lists, reduced mod Phi_n."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    # Phi_n divides x^n - 1: folding e^(n+i) onto e^i first leaves a dense
+    # Phi_n (n prime) a single division step.
+    for i in range(n, len(prod)):
+        prod[i - n] += prod[i]
+    return _divmod(prod[:n], cyclotomic_polynomial(n))[1]
+
+
+def _conjugate(n: int, a: Sequence[int], k: int) -> list[int]:
+    """The Galois conjugate s_k(a), e -> e^k, of reduced numerators, reduced again."""
+    image = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            image[i * k % n] += x
+    return _divmod(image, cyclotomic_polynomial(n))[1]
+
+
+@lru_cache(maxsize=None)
+def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """
+    Pairs (g, r) that build the unit group (Z/n)^*, the Galois group of
+    Q(e): each g has order r over the subgroup H that the pairs before it
+    generate, so the cosets g^j H, 0 <= j < r, make the next subgroup.
+    """
+    group, steps = {1 % n}, []
+    for g in range(2, n):
+        if gcd(g, n) == 1 and g not in group:
+            r, power = 1, g
+            while power not in group:
+                r, power = r + 1, power * g % n
+            group = {h * pow(g, j, n) % n for h in group for j in range(r)}
+            steps.append((g, r))
+    return tuple(steps)
+
+
+def _orbit_product(n: int, t: list[int], g: int, m: int) -> list[int]:
+    """prod s_{g^j}(t) over 0 <= j < m, in about 2 log2(m) products."""
+    if m == 1:
+        return t
+    if m % 2:
+        return _mul_mod(n, t, _conjugate(n, _orbit_product(n, t, g, m - 1), g))
+    half = _orbit_product(n, t, g, m // 2)
+    return _mul_mod(n, half, _conjugate(n, half, pow(g, m // 2, n)))
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _store(self: "CycloNumber", n: int, num: list[int], den: int) -> None:
+    """Set self to num/den (``num`` reduced mod Phi_n, ``den`` > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [a // g for a in num]
+        den //= g
+    object.__setattr__(self, "n", n)
+    object.__setattr__(self, "_num", tuple(num))
+    object.__setattr__(self, "_den", den)
+
+
+def _cyclo(n: int, num: list[int], den: int) -> "CycloNumber":
+    """The CycloNumber num/den, for numerators already reduced mod Phi_n."""
+    self = object.__new__(CycloNumber)
+    _store(self, n, num, den)
+    return self
 
 
 class CycloNumber:
     """
     Element of the cyclotomic field Q(e), e = primitive n-th root of unity.
 
-    Immutable; ``coeffs`` always has length deg Phi_n = phi(n) and represents
-    sum coeffs[i] * e^i in the reduced basis.  Arithmetic reduces mod Phi_n;
-    division inverts via the extended Euclidean algorithm in Q[x].
+    Immutable.  Stored as phi(n) integer numerators over one positive
+    denominator with no factor common to all of them, so equal elements have
+    equal storage.  ``coeffs`` is the same value as phi(n) Fractions,
+    sum coeffs[i] * e^i in the reduced basis, built on demand.  Arithmetic
+    runs in integers and reduces mod Phi_n; ``inverse`` multiplies the other
+    Galois conjugates and divides by the rational norm.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "_num", "_den")
 
     def __init__(self, n: int, coeffs: Iterable[Fraction | int]) -> None:
-        phi = cyclotomic_polynomial(n)
-        _, rem = _divmod([Fraction(c) for c in coeffs], phi)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(rem) + (_ZERO,) * (len(phi) - 1 - len(rem)))
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
+        num = [f.numerator * (den // f.denominator) for f in fracs]
+        _store(self, n, _divmod(num, cyclotomic_polynomial(n))[1], den)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(n) coefficients of 1, e, ..., e^(phi(n)-1), as Fractions."""
+        return tuple(Fraction(a, self._den) for a in self._num)
 
     # -- constructors
 
@@ -125,7 +207,10 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, n: int, value) -> "CycloNumber":
-        return cls(n, [Fraction(value)])
+        value = Fraction(value)
+        num = [0] * (len(cyclotomic_polynomial(n)) - 1)
+        num[0] = value.numerator
+        return _cyclo(n, num, value.denominator)
 
     @classmethod
     def root(cls, n: int, power: int = 1) -> "CycloNumber":
@@ -139,10 +224,10 @@ class CycloNumber:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -162,18 +247,24 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNumber(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _cyclo(self.n, [a + b for a, b in zip(self._num, other._num)], d1)
+        return _cyclo(self.n, [a * d2 + b * d1 for a, b in zip(self._num, other._num)], d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.n, [-a for a in self.coeffs])
+        return _cyclo(self.n, [-a for a in self._num], self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNumber(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _cyclo(self.n, [a - b for a, b in zip(self._num, other._num)], d1)
+        return _cyclo(self.n, [a * d2 - b * d1 for a, b in zip(self._num, other._num)], d1 * d2)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -182,37 +273,36 @@ class CycloNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNumber(self.n, prod)
+        return _cyclo(self.n, _mul_mod(self.n, self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via extended Euclid on (self, Phi_n) in Q[x]."""
+        """
+        Multiplicative inverse: the product of the other Galois conjugates
+        s_k(a), 1 < k < n with gcd(k, n) = 1, over the rational norm N(a),
+        which is a times that product.
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        # Invariant: r_i = t_i * self (mod Phi_n).  The first step only
-        # swaps, since deg self < deg Phi_n, and strips self's zero top terms.
-        r0, r1 = list(self.coeffs), [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        t0, t1 = [1], [0]
-        while r1:
-            quo, rem = _divmod(r0, r1)
-            tn = t0 + [0] * (len(quo) + len(t1) - 1 - len(t0))
-            for i, a in enumerate(quo):
-                if a:
-                    for j, b in enumerate(t1):
-                        tn[i + j] -= a * b
-            r0, r1 = r1, rem
-            t0, t1 = t1, tn
-        # r0 is now the gcd; Phi_n irreducible over Q => gcd is a nonzero constant.
-        g = r0[0]
-        assert len(r0) == 1 and g != 0, "cyclotomic polynomial must be coprime to nonzero elements"
-        return CycloNumber(self.n, [c / g for c in t0])
+        n, num, den = self.n, self._num, self._den
+        if self.is_rational():  # every conjugate is a itself
+            inv = [0] * len(num)
+            inv[0] = den if num[0] > 0 else -den
+            return _cyclo(n, inv, abs(num[0]))
+        # The integer part A = d * a suffices: a^-1 = d * A^-1.  Over the
+        # subgroup H built so far, ``others`` is the product of s_h(A) for
+        # h != 1 and ``total`` = A * others; a step (g, r) multiplies both by
+        # the conjugates of ``total`` under g^j, 0 < j < r.
+        others, total = [1], list(num)
+        for g, r in _galois_steps(n):
+            step = _conjugate(n, _orbit_product(n, total, g, r - 1), g)
+            others, total = _mul_mod(n, others, step), _mul_mod(n, total, step)
+        # For n > 2 the conjugates come in complex-conjugate pairs, so the
+        # norm of a nonzero element is a positive rational.
+        norm = total[0]
+        assert norm > 0 and not any(total[1:]), "the norm of a nonzero element must be a positive rational"
+        return _cyclo(n, [c * den for c in others], norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -230,10 +320,18 @@ class CycloNumber:
             other = CycloNumber.from_rational(self.n, other)
         if not isinstance(other, CycloNumber):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        # Equal to hash((n, coeffs)) without building Fractions: Python hashes
+        # a rational a/d like the integer a * d^-1 modulo its hash modulus.
+        if self._den == 1:
+            return hash((self.n, self._num))
+        try:
+            dinv = pow(self._den, -1, _HASH_MODULUS)
+        except ValueError:  # the denominator is a multiple of the modulus
+            return hash((self.n, self.coeffs))
+        return hash((self.n, tuple(a * dinv for a in self._num)))
 
     def __repr__(self) -> str:
         return f"CycloNumber({self.n}, {format_scalar(self)!r})"
@@ -276,14 +374,15 @@ def format_scalar(value) -> str:
         return str(Fraction(value))
     if not isinstance(value, CycloNumber):
         raise TypeError(f"cannot format {type(value).__name__}")
-    out = ""
-    for exp in range(len(value.coeffs) - 1, -1, -1):
-        c = value.coeffs[exp]
+    out, den = "", value._den
+    for exp in range(len(value._num) - 1, -1, -1):
+        c = value._num[exp]
         if not c:
             continue
-        mag = abs(c)
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
         e = "e" if exp == 1 else f"e^{exp}"
-        body = str(mag) if exp == 0 else e if mag == 1 else f"{mag}*{e}"
+        body = mag if exp == 0 else e if mag == "1" else f"{mag}*{e}"
         out += ("-" if c < 0 else "+" if out else "") + body
     return out or "0"
 

@@ -28,11 +28,19 @@ __all__ = [
     "coordinates_to_payload",
     "coordinates_from_payload",
     "MAX_CONDUCTOR",
+    "MAX_SCALAR_CHARS",
 ]
 
 # Largest conductor coordinates_from_payload accepts.  Phi_n costs time and
 # memory superlinear in n, and every field operation grows with deg Phi_n.
 MAX_CONDUCTOR = 32
+
+# Longest scalar string coordinates_from_payload accepts.  A line's canonical
+# form inverts its lead entry, and the inverse of a over Q(e) has about
+# phi(n) times the digits of a.  The costliest rows within this length, two
+# 13-digit terms per entry at conductor 31, take about 4 ms each, so a
+# 256-line document loads in about 1 s (2-core x86-64 VM, Python 3.11).
+MAX_SCALAR_CHARS = 32
 
 
 class GeometryError(ValueError):
@@ -196,6 +204,8 @@ def coordinates_from_payload(payload, k: int):
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
             raise ArrangementError(f"coordinate row {j}: need a list of 3 scalar strings")
+        if any(len(text) > MAX_SCALAR_CHARS for text in row):
+            raise ArrangementError(f"coordinate row {j}: a scalar is longer than {MAX_SCALAR_CHARS} characters")
         try:
             out.append(ProjLine(tuple(parse_scalar(text, conductor) for text in row)))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError

@@ -13,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levicycles import families
+from levicycles.families import FAMILIES
 from levicycles.arrangement import ArrangementError, arrangement_to_json
 from levicycles.claims import NAMED_CLAIMS
 from levicycles.cycles import InducedCycleWitness, exists_cycle, validate_witness
 from levicycles.levi import build_levi, export_json, levi_from_json
-from levicycles.projective import MAX_CONDUCTOR, arrangement_from_lines
+from levicycles.projective import MAX_CONDUCTOR, MAX_SCALAR_CHARS, arrangement_from_lines
 from levicycles.cli import CHECKERS, EXIT_BROKEN_PIPE, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
 
 from conftest import cyclic_nine_three
@@ -174,6 +175,7 @@ HOSTILE_DOCUMENTS = [
     ("scalar-exponent", ["stats"], _set("coordinates", "lines", 0, 0, "1e1000")),
     ("conductor-above-bound", ["stats"],
      _set("coordinates", "field", {"type": "cyclotomic", "conductor": MAX_CONDUCTOR + 1})),
+    ("scalar-over-long", ["stats"], _set("coordinates", "lines", 0, 1, "0" * (MAX_SCALAR_CHARS + 1))),
 ]
 
 
@@ -189,6 +191,27 @@ def test_hostile_document_is_usage_error(tmp_path, capsys, command, mutate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_costliest_document_within_the_scalar_limit_loads_quickly(tmp_path, capsys):
+    # 256 lines over Q(e), e^31 = 1, each entry two terms of as many digits
+    # as MAX_SCALAR_CHARS allows.  The lead entry's inverse has about 30
+    # times their digits: the costliest rows a sweep of term counts, digit
+    # counts and conductors found within the limit.
+    digits = (MAX_SCALAR_CHARS - len("*e^30+")) // 2
+    rows = [
+        [f"{10 ** digits - 1 - entry}*e^30+{10 ** (digits - 1) + 7 * entry}" for entry in range(3 * j, 3 * j + 3)]
+        for j in range(256)
+    ]
+    assert max(len(text) for row in rows for text in row) == MAX_SCALAR_CHARS
+    doc = json.loads(arrangement_to_json(families.near_pencil(256)))
+    doc["coordinates"] = {"field": {"type": "cyclotomic", "conductor": 31}, "lines": rows}
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["stats", str(path)]) == EXIT_OK
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().out.startswith("k = 256\n")
 
 
 def test_missing_file(capsys):
@@ -354,6 +377,50 @@ def test_fuzz_argv_exits_cleanly(files, argv):
     assert code in (EXIT_OK, EXIT_REFUTED, EXIT_USAGE, EXIT_UNKNOWN)
     if code == EXIT_USAGE:
         assert "error:" in err.getvalue()
+
+
+# argv for build: a family (or an unknown name), mostly its own flags, now
+# and then a foreign one, with small, boundary and huge values.
+_BUILD_FLAGS = ["--m", "--n", "--k", "--a", "--b", "--chosen"]
+_BUILD_INT = (st.integers(2, 9) | st.integers(-3, 12) | st.sampled_from([85, 86, 257, 10**6])).map(str)
+
+
+@st.composite
+def _build_argv(draw):
+    family = draw(st.sampled_from([*sorted(FAMILIES), "bogus"]))
+    own = [f"--{p}" for p in FAMILIES.get(family, (None, ()))[1]]
+    flags = [flag for flag in own if draw(st.integers(0, 9))]  # each dropped 1 time in 10
+    if not draw(st.integers(0, 4)):  # a foreign flag 1 time in 5
+        flags.append(draw(st.sampled_from(_BUILD_FLAGS)))
+    argv = ["build", family]
+    for flag in dict.fromkeys(flags):
+        argv += [flag, draw(_FLAG_VALUES["--chosen"] if flag == "--chosen" else _BUILD_INT)]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_build_argv())
+@example(["build", "ceva", "--n", "86"])
+@example(["build", "a_w_k", "--m", "7", "--k", "3", "--chosen", "0,2,4"])
+def test_fuzz_build_exits_cleanly_and_writes_loadable_files(tmp_path_factory, argv):
+    # build exits 0 or 2; a usage error says why and writes nothing; a
+    # written file loads with stats and holds what build reported.
+    out = tmp_path_factory.getbasetemp() / "fuzz-build" / "out.json"
+    out.parent.mkdir(exist_ok=True)
+    out.unlink(missing_ok=True)
+    stdout, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = run([*argv, "-o", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert "error:" in err.getvalue()
+        assert not out.exists()
+        return
+    stats = io.StringIO()
+    with contextlib.redirect_stdout(stats), contextlib.redirect_stderr(err):
+        assert run(["stats", str(out)]) == EXIT_OK
+    k, s = stats.getvalue().splitlines()[:2]
+    assert stdout.getvalue() == f"wrote {out}: {k}, {s}\n"
 
 
 # -- levi

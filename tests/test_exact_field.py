@@ -12,6 +12,7 @@ from levicycles.exact_field import (
     format_scalar,
     parse_scalar,
 )
+from levicycles.projective import ProjLine
 
 
 KNOWN_PHI = {
@@ -253,3 +254,141 @@ def test_property_parse_raises_only_value_errors(text, conductor):
     except (ValueError, ZeroDivisionError):
         return
     assert parse_scalar(format_scalar(value), conductor) == value
+
+
+# -- Differential tests against a reference: the Fraction arithmetic this
+# module used before its fraction-free representation (coefficients reduced
+# by division over Q, inverse by extended Euclid in Q[x]).
+
+
+def _ref_divmod(num, den):
+    """Quotient and remainder over Q, trailing zeros of the remainder stripped."""
+    num = [Fraction(c) for c in num]
+    deg, lead = len(den) - 1, den[-1]
+    quo = [Fraction(0)] * max(1, len(num) - deg)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + deg] / lead
+        quo[shift] = c
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+    del num[deg:]
+    while num and not num[-1]:
+        num.pop()
+    return quo, num
+
+
+def _ref_reduce(n, coeffs):
+    phi = cyclotomic_polynomial(n)
+    rem = _ref_divmod(coeffs, phi)[1]
+    return tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
+
+
+def _ref_mul(n, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(n, prod)
+
+
+def _ref_inverse(n, a):
+    r0, r1 = list(a), [Fraction(c) for c in cyclotomic_polynomial(n)]
+    t0, t1 = [Fraction(1)], [Fraction(0)]
+    while r1:
+        quo, rem = _ref_divmod(r0, r1)
+        tn = t0 + [Fraction(0)] * (len(quo) + len(t1) - len(t0))
+        for i, x in enumerate(quo):
+            for j, y in enumerate(t1):
+                tn[i + j] -= x * y
+        r0, r1 = r1, rem
+        t0, t1 = t1, tn
+    assert len(r0) == 1 and r0[0], "the gcd with Phi_n must be a nonzero constant"
+    return _ref_reduce(n, [c / r0[0] for c in t0])
+
+
+def _ref_format(coeffs):
+    out = ""
+    for exp in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[exp]
+        if not c:
+            continue
+        mag = abs(c)
+        e = "e" if exp == 1 else f"e^{exp}"
+        body = str(mag) if exp == 0 else e if mag == 1 else f"{mag}*{e}"
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
+
+
+def _ref_canonical(n, triple):
+    """The reference canonical form of a homogeneous triple: lead entry scaled to 1."""
+    lead = next(v for v in triple if any(v))
+    inv = _ref_inverse(n, lead)
+    return tuple(_ref_mul(n, v, inv) for v in triple)
+
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+tiny_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@st.composite
+def coefficient_lists(draw, n, max_size=None):
+    """Sparse coefficient lists, sometimes longer than phi(n) or with large entries."""
+    size = draw(st.integers(0, max_size if max_size is not None else n + 2))
+    entries = draw(st.lists(st.tuples(st.integers(0, max(size - 1, 0)), tiny_fractions | small_fractions),
+                            max_size=min(size, 6)))
+    coeffs = [Fraction(0)] * size
+    for i, c in entries:
+        coeffs[i] += c
+    return coeffs
+
+
+@st.composite
+def conductor_and_pair(draw):
+    n = draw(st.integers(1, 32))
+    return n, draw(coefficient_lists(n)), draw(coefficient_lists(n))
+
+
+@DIFFERENTIAL
+@given(conductor_and_pair())
+def test_differential_arithmetic_matches_reference(case):
+    n, a, b = case
+    x, y = CycloNumber(n, a), CycloNumber(n, b)
+    ra, rb = _ref_reduce(n, a), _ref_reduce(n, b)
+    assert x.coeffs == ra and y.coeffs == rb
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(ra, rb))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(ra, rb))
+    assert (x * y).coeffs == _ref_mul(n, ra, rb)
+    assert (x == y) == (ra == rb)
+    assert hash(x) == hash((n, ra))
+    assert format_scalar(x) == _ref_format(ra)
+    if any(ra):
+        assert x.inverse().coeffs == _ref_inverse(n, ra)
+        assert (y / x).coeffs == _ref_mul(n, rb, _ref_inverse(n, ra))
+
+
+@st.composite
+def conductor_and_triple(draw):
+    n = draw(st.integers(1, 32))
+    triple = [draw(coefficient_lists(n)) for _ in range(3)]
+    assume(any(any(_ref_reduce(n, t)) for t in triple))
+    return n, triple
+
+
+@DIFFERENTIAL
+@given(conductor_and_triple())
+def test_differential_projline_canonical_form_matches_reference(case):
+    n, triple = case
+    line = ProjLine(tuple(CycloNumber(n, t) for t in triple))
+    expected = _ref_canonical(n, [_ref_reduce(n, t) for t in triple])
+    assert tuple(c.coeffs for c in line.coords) == expected
+    assert [format_scalar(c) for c in line.coords] == [_ref_format(c) for c in expected]
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_inverse_of_dense_element_matches_reference(n):
+    # Every power of e with its own coefficient and denominator, so each
+    # Galois conjugate is a dense element and the norm is far from trivial.
+    coeffs = [Fraction((-1) ** i * (i + 2), i % 5 + 1) for i in range(len(cyclotomic_polynomial(n)) - 1)]
+    x = CycloNumber(n, coeffs)
+    assert x.inverse().coeffs == _ref_inverse(n, _ref_reduce(n, coeffs))
+    assert x * x.inverse() == 1

@@ -1,12 +1,15 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from levicycles import families
 from levicycles.arrangement import ArrangementError, arrangement_from_json, arrangement_to_json
-from levicycles.exact_field import ConductorMismatch, CycloNumber
+from levicycles.exact_field import ConductorMismatch, CycloNumber, parse_scalar
 from levicycles.projective import (
     MAX_CONDUCTOR,
+    MAX_SCALAR_CHARS,
     DuplicateLine,
     GeometryError,
     IdenticalLines,
@@ -160,6 +163,35 @@ def test_payload_conductor_bound():
     for conductor in (MAX_CONDUCTOR + 1, True):
         with pytest.raises(ArrangementError, match="conductor"):
             coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": conductor}, "lines": rows}, 2)
+
+
+def test_payload_scalar_length_bound():
+    field = {"type": "cyclotomic", "conductor": 12}
+    at_bound = "1/2*e^3-" + "1" * (MAX_SCALAR_CHARS - 8)
+    assert len(at_bound) == MAX_SCALAR_CHARS
+    lines = coordinates_from_payload({"field": field, "lines": [[at_bound, "e", "0"]]}, 1)
+    assert lines == [ProjLine((parse_scalar(at_bound, 12), CycloNumber.root(12), CycloNumber.zero(12)))]
+    for row in ([at_bound + "0", "e", "0"], ["1", "0", " " * (MAX_SCALAR_CHARS + 1)]):
+        with pytest.raises(ArrangementError, match=f"longer than {MAX_SCALAR_CHARS}"):
+            coordinates_from_payload({"field": field, "lines": [row]}, 1)
+
+
+def test_dense_conductor_31_row_normalizes_quickly():
+    # Thirty 10-digit coefficients at conductor 31, the largest degree under
+    # MAX_CONDUCTOR: inverting the lead entry by extended Euclid over Q took
+    # 1.1 s, against about 5 ms as the product of its Galois conjugates.
+    # The row is far over MAX_SCALAR_CHARS, so a document cannot carry it,
+    # but Python callers can.
+    rng = random.Random(31)
+    lead = "+".join(f"{rng.randrange(10**9, 10**10)}*e^{i}" for i in range(30))
+    row = (lead, "1-e", "e^3")
+    start = time.perf_counter()
+    line = ProjLine(tuple(parse_scalar(text, 31) for text in row))
+    assert time.perf_counter() - start < 0.1
+    assert line.coords[0] == CycloNumber.one(31)
+    assert line.coords[1] * parse_scalar(lead, 31) == parse_scalar("1-e", 31)
+    with pytest.raises(ArrangementError, match="longer than"):
+        coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": 31}, "lines": [list(row)]}, 1)
 
 
 def test_arrangement_json_carries_coordinates():
