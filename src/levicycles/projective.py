@@ -28,6 +28,7 @@ __all__ = [
     "coordinates_to_payload",
     "coordinates_from_payload",
     "MAX_CONDUCTOR",
+    "MAX_COEFFICIENT_DIGITS",
     "MAX_SCALAR_CHARS",
 ]
 
@@ -35,12 +36,20 @@ __all__ = [
 # memory superlinear in n, and every field operation grows with deg Phi_n.
 MAX_CONDUCTOR = 32
 
-# Longest scalar string coordinates_from_payload accepts.  A line's canonical
-# form inverts its lead entry, and the inverse of a over Q(e) has about
-# phi(n) times the digits of a.  The costliest rows within this length, two
-# 13-digit terms per entry at conductor 31, take about 4 ms each, so a
-# 256-line document loads in about 1 s (2-core x86-64 VM, Python 3.11).
-MAX_SCALAR_CHARS = 32
+# Bounds on a cyclotomic coordinate scalar in a document; rational scalars
+# are one term and cost nothing to invert.  A line's canonical form inverts
+# its lead entry, and the inverse of a over Q(e) has about phi(n) times the
+# digits of a written as integers over their least common denominator.
+# MAX_COEFFICIENT_DIGITS bounds those integers, which drive that cost, and
+# MAX_SCALAR_CHARS bounds the parse, which could otherwise sum any number
+# of terms.  The written form of any value within MAX_COEFFICIENT_DIGITS has
+# at most phi(n) <= 30 terms such as "-a/b*e^29" of at most 33 characters,
+# so every such value fits in MAX_SCALAR_CHARS.  The costliest document
+# within these bounds, 256 lines whose entries have thirty 13-digit
+# numerators over one 13-digit denominator at conductor 31, loads in about
+# 1.1 s (2-core x86-64 VM, Python 3.11); one row takes about 4 ms.
+MAX_COEFFICIENT_DIGITS = 13
+MAX_SCALAR_CHARS = 1024
 
 
 class GeometryError(ValueError):
@@ -204,10 +213,15 @@ def coordinates_from_payload(payload, k: int):
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
             raise ArrangementError(f"coordinate row {j}: need a list of 3 scalar strings")
-        if any(len(text) > MAX_SCALAR_CHARS for text in row):
+        if conductor is not None and any(len(text) > MAX_SCALAR_CHARS for text in row):
             raise ArrangementError(f"coordinate row {j}: a scalar is longer than {MAX_SCALAR_CHARS} characters")
         try:
-            out.append(ProjLine(tuple(parse_scalar(text, conductor) for text in row)))
+            scalars = tuple(parse_scalar(text, conductor) for text in row)
+            if conductor is not None and max(c.height for c in scalars) >= 10**MAX_COEFFICIENT_DIGITS:
+                raise ValueError(
+                    f"a scalar has an integer of more than {MAX_COEFFICIENT_DIGITS} digits over its least common denominator"
+                )
+            out.append(ProjLine(scalars))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError
             raise ArrangementError(f"coordinate row {j}: {exc}") from None
     return out

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 
 from levicycles import families
 from levicycles.arrangement import ArrangementError, arrangement_from_json, arrangement_to_json
-from levicycles.exact_field import ConductorMismatch, CycloNumber, parse_scalar
+from levicycles.exact_field import ConductorMismatch, CycloNumber, format_scalar, parse_scalar
 from levicycles.projective import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_CONDUCTOR,
     MAX_SCALAR_CHARS,
     DuplicateLine,
@@ -167,31 +169,74 @@ def test_payload_conductor_bound():
 
 def test_payload_scalar_length_bound():
     field = {"type": "cyclotomic", "conductor": 12}
-    at_bound = "1/2*e^3-" + "1" * (MAX_SCALAR_CHARS - 8)
+    at_bound = "-1" + "+e^3" * ((MAX_SCALAR_CHARS - 2) // 4) + "+1" * ((MAX_SCALAR_CHARS - 2) % 4 // 2)
     assert len(at_bound) == MAX_SCALAR_CHARS
     lines = coordinates_from_payload({"field": field, "lines": [[at_bound, "e", "0"]]}, 1)
     assert lines == [ProjLine((parse_scalar(at_bound, 12), CycloNumber.root(12), CycloNumber.zero(12)))]
     for row in ([at_bound + "0", "e", "0"], ["1", "0", " " * (MAX_SCALAR_CHARS + 1)]):
         with pytest.raises(ArrangementError, match=f"longer than {MAX_SCALAR_CHARS}"):
             coordinates_from_payload({"field": field, "lines": [row]}, 1)
+    # A rational scalar is one term, cheap to invert at any length.
+    long_rational = "1/" + "7" * MAX_SCALAR_CHARS
+    lines = coordinates_from_payload({"field": {"type": "rational"}, "lines": [[long_rational, "1", "0"]]}, 1)
+    assert lines == [ProjLine((1, Fraction("7" * MAX_SCALAR_CHARS), 0))]
 
 
-def test_dense_conductor_31_row_normalizes_quickly():
+def test_payload_coefficient_digit_bound():
+    top = 10**MAX_COEFFICIENT_DIGITS - 1
+    field = {"type": "cyclotomic", "conductor": 31}
+    for text in (f"{top}*e^2-1", f"{top - 1}/{top}*e-1/{top}", f"1/{top}+1/{top}*e^5"):
+        assert coordinates_from_payload({"field": field, "lines": [[text, "e", "1"]]}, 1)[0].coords[0] == 1
+    # Within the bound term by term, not once written over one denominator.
+    for text in (f"{top + 1}*e", f"1/{top + 1}", f"1/{top}+1/{top - 1}*e", "+".join(f"1/{p}*e^{i}" for i, p in enumerate([1009, 1013, 1019, 1021, 1031]))):
+        with pytest.raises(ArrangementError, match=f"more than {MAX_COEFFICIENT_DIGITS} digits"):
+            coordinates_from_payload({"field": field, "lines": [["1", "e", text]]}, 1)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_CONDUCTOR + 1))
+def test_every_value_within_the_digit_bound_fits_the_length_bound(n):
+    # Coprime numerators and denominator of the largest size make every
+    # written term as long as it gets: "-a/b*e^k".
+    top = 10**MAX_COEFFICIENT_DIGITS - 1
+    phi = len(CycloNumber.one(n).coeffs)
+    value = CycloNumber(n, [Fraction(-top, top - 1)] * phi)
+    assert value.height == top
+    row = [format_scalar(value), "1", "e"]
+    assert len(row[0]) <= MAX_SCALAR_CHARS
+    field = {"type": "cyclotomic", "conductor": n}
+    assert coordinates_from_payload({"field": field, "lines": [row]}, 1) == [
+        ProjLine((value, CycloNumber.one(n), CycloNumber.root(n)))
+    ]
+
+
+def test_coordinate_families_round_trip_at_every_conductor():
+    for n in range(2, MAX_CONDUCTOR + 1):
+        m = n + 2
+        built = [families.ceva_coordinate_lines(n), families.supersolvable_mu3_coordinate_lines(m)]
+        if m >= 5:
+            built += [families.a_w_k_coordinate_lines(m, 1), families.a_w_k_coordinate_lines(m, m - 3)]
+        for lines in built:
+            payload = json.loads(json.dumps(coordinates_to_payload(lines)))
+            assert coordinates_from_payload(payload, len(lines)) == lines, n
+    # The whole document at a prime conductor, whose pencil entries -e^(n-1)
+    # are written as phi(n) terms.
+    arr = arrangement_from_lines(families.ceva_coordinate_lines(11))
+    back = arrangement_from_json(arrangement_to_json(arr))
+    assert back == arr and back.coordinates == arr.coordinates
+
+
+def test_dense_conductor_31_row_loads_quickly():
     # Thirty 10-digit coefficients at conductor 31, the largest degree under
     # MAX_CONDUCTOR: inverting the lead entry by extended Euclid over Q took
-    # 1.1 s, against about 5 ms as the product of its Galois conjugates.
-    # The row is far over MAX_SCALAR_CHARS, so a document cannot carry it,
-    # but Python callers can.
+    # 1.1 s, against about 4 ms as the product of its Galois conjugates.
     rng = random.Random(31)
     lead = "+".join(f"{rng.randrange(10**9, 10**10)}*e^{i}" for i in range(30))
-    row = (lead, "1-e", "e^3")
+    row = [lead, "1-e", "e^3"]
     start = time.perf_counter()
-    line = ProjLine(tuple(parse_scalar(text, 31) for text in row))
+    [line] = coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": 31}, "lines": [row]}, 1)
     assert time.perf_counter() - start < 0.1
     assert line.coords[0] == CycloNumber.one(31)
     assert line.coords[1] * parse_scalar(lead, 31) == parse_scalar("1-e", 31)
-    with pytest.raises(ArrangementError, match="longer than"):
-        coordinates_from_payload({"field": {"type": "cyclotomic", "conductor": 31}, "lines": [list(row)]}, 1)
 
 
 def test_arrangement_json_carries_coordinates():
