@@ -186,6 +186,11 @@ class Arrangement:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Arrangement is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__; the
+        # rebuilt copy starts without the solver's ``_symmetry`` cache.
+        return Arrangement, (self.k, self.point_lines, self.line_names, self.point_names, self.coordinates)
+
     @property
     def s(self) -> int:
         """Number of singular points."""

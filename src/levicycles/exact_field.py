@@ -198,6 +198,10 @@ class CycloNumber:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("CycloNumber is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__.
+        return CycloNumber, (self.n, self.coeffs)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The phi(n) coefficients of 1, e, ..., e^(phi(n)-1), as Fractions."""

@@ -63,6 +63,10 @@ class LeviGraph:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("LeviGraph is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__.
+        return LeviGraph, (self.s, self.k, self.edges)
+
     @property
     def n_vertices(self) -> int:
         return self.s + self.k

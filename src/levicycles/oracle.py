@@ -8,6 +8,12 @@ against a second implementation that shares no code with it.
 A graph is given as a mapping from each vertex to its neighbours (a
 networkx graph counts as one through ``g.adj``) or as an iterable of (u, v)
 edges; vertices are any hashable values.
+
+Both oracles index the vertices 0..n-1 and give vertex v the Python int
+bitmask of its neighbours, so the DFS keeps the path and the vertices it
+may not enter as one int and picks its candidates by ``&`` and ``~``.  The
+bitmasks are built here from the plain graph; nothing is shared with the
+solver, whose masks are over the lines and points of an arrangement.
 """
 
 from __future__ import annotations
@@ -48,6 +54,29 @@ def _indexed_adjacency(g) -> tuple[list[Hashable], list[set[int]]]:
     return nodes, adj
 
 
+def _masks(g, cap: int) -> list[int]:
+    """Adjacency bitmasks of ``g`` over its indexed vertices, within ``cap``."""
+    _, adj = _indexed_adjacency(g)
+    if len(adj) > cap:
+        raise TooLarge(f"graph has {len(adj)} vertices, oracle cap is {cap}")
+    return [sum(1 << v for v in nbrs) for nbrs in adj]
+
+
+def _first_edges(masks: list[int]):
+    """
+    Each edge (start, second) with start < second, as the start's
+    neighbours, the second vertex and the mask of the second vertex and of
+    every vertex <= start, which no path from this start may enter.
+    """
+    for start, close in enumerate(masks):
+        below = (2 << start) - 1
+        seconds = close & ~below
+        while seconds:
+            bit = seconds & -seconds
+            seconds ^= bit
+            yield close, bit.bit_length() - 1, below | bit
+
+
 def oracle_induced_cycle_lengths(g, cap: int = DEFAULT_VERTEX_CAP) -> set[int]:
     """
     Enumerate the set of lengths of induced cycles of an arbitrary graph.
@@ -66,46 +95,33 @@ def oracle_induced_cycle_lengths(g, cap: int = DEFAULT_VERTEX_CAP) -> set[int]:
     -------
     set of cycle lengths (number of vertices); empty if the graph is acyclic.
     """
-    _, adj = _indexed_adjacency(g)
-    n = len(adj)
-    if n > cap:
-        raise TooLarge(f"graph has {n} vertices, oracle cap is {cap}")
-
+    masks = _masks(g, cap)
     lengths: set[int] = set()
 
-    def extend(path: list[int], members: set[int], blocked: set[int]) -> None:
-        # Invariant: path is an induced path whose interior vertices (all but
-        # the endpoints) are non-adjacent to path[0]; blocked holds every
-        # vertex adjacent to an interior vertex.
-        start = path[0]
-        tip = path[-1]
-        for nxt in adj[tip]:
-            if nxt <= start or nxt in members or nxt in blocked:
-                continue
-            if len(path) >= 2 and start in adj[nxt]:
-                # Closing edge: the cycle start..tip..nxt..start is induced
-                # by construction; path[1] < nxt breaks the mirror symmetry.
-                if path[1] < nxt:
-                    lengths.add(len(path) + 1)
-                # nxt cannot be interior to any longer induced cycle through
-                # start (the chord nxt-start would survive), so do not
-                # extend through it.
-                continue
-            members.add(nxt)
-            if len(path) >= 2:
-                # The old tip becomes an interior vertex; its neighbors are
-                # now chord ends.  path[0]'s neighbors are never blocked
-                # this way, which is what keeps closure possible.
-                newly_blocked = [v for v in adj[tip] if v != nxt and v not in blocked]
-                blocked.update(newly_blocked)
-            else:
-                newly_blocked = []
-            extend(path + [nxt], members, blocked)
-            blocked.difference_update(newly_blocked)
-            members.remove(nxt)
+    def extend(tip: int, second: int, size: int, forbidden: int) -> None:
+        # Invariant: the path start, second, ..., tip has ``size`` vertices
+        # and is induced, and its interior vertices are non-adjacent to the
+        # start.  ``forbidden`` holds the path, every neighbour of an interior
+        # vertex (a chord end) and every vertex <= start.
+        cand = masks[tip] & ~forbidden
+        # A candidate next to the start closes an induced cycle; one above
+        # ``second`` breaks the mirror symmetry.
+        if (cand & close) >> (second + 1):
+            lengths.add(size + 1)
+        # A closing candidate cannot be interior to a longer induced cycle
+        # through the start (its chord to the start would survive), so only
+        # the others extend.  The old tip becomes interior, so its
+        # neighbours become chord ends; the start never becomes interior,
+        # which is what keeps closure possible.
+        forbidden |= masks[tip]
+        rest = cand & ~close
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            extend(bit.bit_length() - 1, second, size + 1, forbidden | bit)
 
-    for start in range(len(adj)):
-        extend([start], {start}, set())
+    for close, second, seen in _first_edges(masks):  # ``extend`` reads ``close``
+        extend(second, second, 2, seen)
     return lengths
 
 
@@ -129,30 +145,19 @@ def circumference(g, cap: int = DEFAULT_VERTEX_CAP) -> int | None:
     subdivided away), so this is the quantity that the subdivision transform
     doubles.
     """
-    _, adj = _indexed_adjacency(g)
-    n = len(adj)
-    if n > cap:
-        raise TooLarge(f"graph has {n} vertices, oracle cap is {cap}")
+    masks = _masks(g, cap)
+    best = 0
 
-    best: int | None = None
-
-    def extend(path: list[int], members: set[int]) -> None:
+    def extend(tip: int, second: int, size: int, used: int) -> None:
         nonlocal best
-        start = path[0]
-        tip = path[-1]
-        for nxt in adj[tip]:
-            if nxt <= start:
-                continue
-            if nxt in members:
-                continue
-            if start in adj[nxt] and len(path) >= 2 and path[1] < nxt:
-                size = len(path) + 1
-                if best is None or size > best:
-                    best = size
-            members.add(nxt)
-            extend(path + [nxt], members)
-            members.remove(nxt)
+        cand = masks[tip] & ~used
+        if size >= best and (cand & close) >> (second + 1):
+            best = size + 1
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            extend(bit.bit_length() - 1, second, size + 1, used | bit)
 
-    for start in range(len(adj)):
-        extend([start], {start})
-    return best
+    for close, second, seen in _first_edges(masks):  # ``extend`` reads ``close``
+        extend(second, second, 2, seen)
+    return best or None

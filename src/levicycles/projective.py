@@ -101,6 +101,10 @@ class _Homogeneous:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__.
+        return type(self), (self.coords,)
+
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -183,11 +187,37 @@ def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
 # triple of exact strings per line.
 
 
+def _height(scalar) -> int:
+    """The height of a scalar read back as a CycloNumber."""
+    if isinstance(scalar, CycloNumber):
+        return scalar.height
+    return max(abs(scalar.numerator), scalar.denominator)
+
+
+_TOO_HIGH = f"a scalar has an integer of more than {MAX_COEFFICIENT_DIGITS} digits over its least common denominator"
+
+
 def coordinates_to_payload(lines) -> dict:
+    """
+    The JSON payload of coordinate lines, which
+    :func:`coordinates_from_payload` reads back.
+
+    Raises ArrangementError for a line with a scalar that
+    :func:`coordinates_from_payload` would refuse, so nothing is written
+    that cannot be read.
+    """
     conductor = next((c.n for line in lines for c in line.coords if isinstance(c, CycloNumber)), None)
+    rows = []
+    for j, line in enumerate(lines):
+        if conductor is not None and max(map(_height, line.coords)) >= 10**MAX_COEFFICIENT_DIGITS:
+            raise ArrangementError(f"coordinate row {j}: {_TOO_HIGH}")
+        try:
+            rows.append([format_scalar(c) for c in line.coords])
+        except ValueError as exc:  # a rational past Python's int-to-string digit limit
+            raise ArrangementError(f"coordinate row {j}: {exc}") from None
     return {
         "field": {"type": "rational"} if conductor is None else {"type": "cyclotomic", "conductor": conductor},
-        "lines": [[format_scalar(c) for c in line.coords] for line in lines],
+        "lines": rows,
     }
 
 
@@ -218,9 +248,7 @@ def coordinates_from_payload(payload, k: int):
         try:
             scalars = tuple(parse_scalar(text, conductor) for text in row)
             if conductor is not None and max(c.height for c in scalars) >= 10**MAX_COEFFICIENT_DIGITS:
-                raise ValueError(
-                    f"a scalar has an integer of more than {MAX_COEFFICIENT_DIGITS} digits over its least common denominator"
-                )
+                raise ValueError(_TOO_HIGH)
             out.append(ProjLine(scalars))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError
             raise ArrangementError(f"coordinate row {j}: {exc}") from None

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -15,6 +17,9 @@ from levicycles.arrangement import (
     validate_arrangement,
 )
 from levicycles import families
+from levicycles.cycles import longest_cycle
+from levicycles.levi import build_levi
+from levicycles.projective import arrangement_from_lines, meet
 
 
 def triangle():
@@ -228,3 +233,23 @@ def test_json_require_valid():
         arrangement_from_json(text)
     arr = arrangement_from_json(text, require_valid=False)
     assert not validate_arrangement(arr).passed
+
+
+
+def test_copy_and_pickle_keep_equality_and_hash():
+    # The immutable types' __setattr__ refused the slot restore that copy and
+    # pickle do by default.
+    built = arrangement_from_lines(families.ceva_coordinate_lines(4))
+    arr = relabeled(built, list(range(built.k))[::-1], list(range(built.s)))  # names, too
+    longest_cycle(arr)  # fills the solver's per-arrangement cache
+    line = arr.coordinates[1]
+    objects = [line.coords[1], line, meet(line, arr.coordinates[2]), arr, build_levi(arr)]
+    text = arrangement_to_json(arr)
+    for round_trip in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        for obj in objects:
+            back = round_trip(obj)
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
+        back = round_trip(arr)
+        assert back._symmetry is None
+        assert arrangement_to_json(back) == text

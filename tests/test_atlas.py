@@ -16,10 +16,20 @@ ATLAS = [
     *[(f"supersolvable_mu3({m})", lambda m=m: families.supersolvable_mu3(m), i)
       for m, i in zip(range(4, 10), (6, 9, 12, 14, 18, 21))],
 ]
+# These take about 4, 25 and 45 s (2-core x86-64 VM, Python 3.11), so they
+# run only under ``-m slow``.
+SLOW_ATLAS = [
+    ("ceva(8)", lambda: families.ceva(8), 19),
+    ("ceva(9)", lambda: families.ceva(9), 22),
+    ("supersolvable_mu3(10)", lambda: families.supersolvable_mu3(10), 23),
+]
 
 
 @pytest.mark.filterwarnings(r"ignore:ceva\(3\)")  # the builder warns that its n-fold points are triple points
-@pytest.mark.parametrize("name,make,i", ATLAS, ids=[name for name, _, _ in ATLAS])
+@pytest.mark.parametrize("name,make,i", [
+    *[pytest.param(*case, id=case[0]) for case in ATLAS],
+    *[pytest.param(*case, id=case[0], marks=pytest.mark.slow) for case in SLOW_ATLAS],
+])
 def test_certified_longest_cycle(name, make, i):
     arr = make()
     res = longest_cycle(arr)

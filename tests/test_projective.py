@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import ArrangementError, arrangement_from_json, arrangement_to_json
+from levicycles.arrangement import Arrangement, ArrangementError, arrangement_from_json, arrangement_to_json
 from levicycles.exact_field import ConductorMismatch, CycloNumber, format_scalar, parse_scalar
 from levicycles.projective import (
     MAX_COEFFICIENT_DIGITS,
@@ -244,3 +244,36 @@ def test_arrangement_json_carries_coordinates():
     back = arrangement_from_json(arrangement_to_json(arr))
     assert back == arr
     assert back.coordinates == arr.coordinates
+
+
+def test_payload_writer_refuses_what_the_reader_refuses():
+    # A line built in Python can have canonical entries the reader refuses:
+    # here 1/a has integers of thousands of digits, and writing it raised a
+    # bare ValueError from Python's int-to-string digit limit.
+    rng = random.Random(31)
+    a = CycloNumber(31, [rng.randrange(10**199, 10**200) for _ in range(2)])
+    huge = ProjLine((a, 1, 0))
+    with pytest.raises(ArrangementError, match=f"row 1: .*more than {MAX_COEFFICIENT_DIGITS} digits"):
+        coordinates_to_payload([ProjLine((CycloNumber.one(31), 0, 0)), huge])
+    arr = Arrangement(2, [(0, 1)], coordinates=[Y, huge])
+    with pytest.raises(ArrangementError, match=f"more than {MAX_COEFFICIENT_DIGITS} digits"):
+        arrangement_to_json(arr)
+    # At the digit bound the writer and the reader agree on both sides.
+    top = 10**MAX_COEFFICIENT_DIGITS - 1
+    field = {"type": "cyclotomic", "conductor": 31}
+    for value in (CycloNumber(31, [top, 1]), CycloNumber(31, [1, Fraction(1, top)]), Fraction(-top)):
+        line = ProjLine((1, value, CycloNumber.root(31)))
+        payload = coordinates_to_payload([line])
+        assert coordinates_from_payload(payload, 1) == [line]
+    for value in (CycloNumber(31, [top + 1, 1]), CycloNumber(31, [1, Fraction(1, top + 1)]), Fraction(-top - 1)):
+        text = format_scalar(value)
+        with pytest.raises(ArrangementError, match=f"more than {MAX_COEFFICIENT_DIGITS} digits"):
+            coordinates_from_payload({"field": field, "lines": [["1", text, "e"]]}, 1)
+        with pytest.raises(ArrangementError, match=f"more than {MAX_COEFFICIENT_DIGITS} digits"):
+            coordinates_to_payload([ProjLine((1, value, CycloNumber.root(31)))])
+    # A rational scalar past the int-to-string digit limit is refused by both.
+    past_limit = 10**5000 + 1
+    with pytest.raises(ArrangementError, match="row 0"):
+        coordinates_to_payload([ProjLine((1, past_limit, 0))])
+    with pytest.raises(ArrangementError, match="row 0"):
+        coordinates_from_payload({"field": {"type": "rational"}, "lines": [["1", "1" + "0" * 5000, "0"]]}, 1)
