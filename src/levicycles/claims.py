@@ -526,13 +526,17 @@ def verify_named_claim(
     raise UnknownClaim(f"unknown claim {claim!r}; known: {', '.join(NAMED_CLAIMS)}")
 
 
+# The arrangement-level checkers by claim id, in report order.
+CHECKERS = {
+    "c6": verify_c6,
+    "c8": verify_c8,
+    "c10": verify_c10,
+    "t3-bounds": verify_t3_bounds,
+    "tq-bounds": verify_tq_bounds,
+    "no-2k-supersolvable": verify_no_2k_supersolvable,
+}
+
+
 def all_checkers(arr: Arrangement, *, budget: int | None = None) -> list[ClaimReport]:
-    """Run every arrangement-level checker (not the named claims) on arr."""
-    return [
-        verify_c6(arr, budget=budget),
-        verify_c8(arr, budget=budget),
-        verify_c10(arr, budget=budget),
-        verify_t3_bounds(arr, budget=budget),
-        verify_tq_bounds(arr, budget=budget),
-        verify_no_2k_supersolvable(arr, budget=budget),
-    ]
+    """Run every arrangement-level checker (not the named claims) on arr, in ``CHECKERS`` order."""
+    return [verify(arr, budget=budget) for verify in CHECKERS.values()]

@@ -27,19 +27,7 @@ from .arrangement import (
     modular_points,
     multiplicity_profile,
 )
-from .claims import (
-    NAMED_CLAIMS,
-    REFUTED,
-    VERDICT_UNKNOWN,
-    all_checkers,
-    verify_c6,
-    verify_c8,
-    verify_c10,
-    verify_named_claim,
-    verify_no_2k_supersolvable,
-    verify_t3_bounds,
-    verify_tq_bounds,
-)
+from .claims import CHECKERS, NAMED_CLAIMS, REFUTED, VERDICT_UNKNOWN, all_checkers, verify_named_claim
 from .cycles import FOUND, NO_INDUCED_CYCLE, UNKNOWN, exists_cycle, longest_cycle, spectrum
 from .families import FAMILIES, build_family
 from .levi import build_levi, export_dot, export_json
@@ -52,15 +40,6 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
-
-CHECKERS = {
-    "c6": verify_c6,
-    "c8": verify_c8,
-    "c10": verify_c10,
-    "t3-bounds": verify_t3_bounds,
-    "tq-bounds": verify_tq_bounds,
-    "no-2k-supersolvable": verify_no_2k_supersolvable,
-}
 
 
 def _parse_chosen(text: str | None) -> tuple[int, ...] | None:

@@ -18,7 +18,9 @@ of each symmetric subtree (McKay's orderly scheme, "Isomorph-free
 exhaustive generation", 1998).  The group comes from
 individualisation-refinement on the Levi graph, once per arrangement and
 only when the first prefix found nothing, and every generator is checked
-to preserve incidences before use.  When no symmetry is verified, or some
+to preserve incidences before use.  The stabilisers' point orbits are the
+group's orbits on flags, incident (line, point) pairs, cut down to each
+line, so no stabiliser is formed.  When no symmetry is verified, or some
 line pair does not meet exactly once, the canonical plan follows instead:
 every line as root with the lines above it, and a tie-break that keeps the
 second line smaller than the last.  The recursion also carries
@@ -49,6 +51,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
+from itertools import groupby
+from operator import itemgetter
 
 from .arrangement import Arrangement, ArrangementError, ValidationReport, _first_bad_pair, _is_index, _load_json
 
@@ -487,31 +491,23 @@ def _orbits(vertices, moves) -> list[list[int]]:
     return sorted(classes.values())
 
 
-def _stabiliser_point_orbits(arr: Arrangement, gens: list[list[int]], r: int) -> list[list[int]]:
+def _point_orbits(arr: Arrangement, gens: list[list[int]]) -> dict[int, list[list[int]]]:
     """
-    Orbits on the points of line r of the group fixing r.
+    Per line j, the orbits on the points of j of the group fixing j, each
+    sorted and ordered by least point.
 
-    By Schreier's lemma the stabiliser is generated by u_{g(x)}^-1 g u_x
-    for every generator g and every x in the orbit of r, where u_x is a
-    product of generators taking r to x.
+    A flag is an incident (line, point) pair.  Some automorphism maps the
+    flag (j, p) to (j, q) exactly when one fixing j maps p to q, so these
+    orbits are the group's orbits on flags, cut down to each line; the
+    generators' moves on flags give them without forming the stabiliser.
     """
     k = arr.k
-    coset = {r: list(range(k + arr.s))}
-    queue = [r]
-    for x in queue:  # the queue grows while it is walked: a breadth-first orbit
-        for g in gens:
-            if g[x] not in coset:
-                coset[g[x]] = [g[v] for v in coset[x]]
-                queue.append(g[x])
-    back = {}
-    for x, u in coset.items():
-        inv = [0] * len(u)
-        for v, image in enumerate(u):
-            inv[image] = v
-        back[x] = inv
-    points = [k + p for p in sorted(arr.line_points[r])]
-    moves = [(p, back[g[x]][g[u[p]]]) for x, u in coset.items() for g in gens for p in points]
-    return [[v - k for v in orbit] for orbit in _orbits(points, moves)]
+    flags = [(j, p) for j in range(k) for p in arr.line_points[j]]
+    orbits: dict[int, list[list[int]]] = {j: [] for j in range(k)}
+    for orbit in _orbits(flags, [((j, p), (g[j], g[k + p] - k)) for g in gens for j, p in flags]):
+        for j, cut in groupby(orbit, key=itemgetter(0)):  # the orbit is sorted, so each cut is
+            orbits[j].append([p for _, p in cut])
+    return {j: sorted(cuts) for j, cuts in orbits.items()}
 
 
 def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits=None) -> list[tuple[int, int]]:
@@ -520,27 +516,28 @@ def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits=None) 
 
     ``orbits`` are the point orbits of the stabiliser of r, in order: each
     gives its least point as p1, and its points are closed for the orbits
-    after it.  Without them every point of r is a first point and none is
+    after it, because a cycle through one of them was searched from its
+    orbit.  Without them every point of r is a first point and none is
     closed, as in the canonical walk.  The closable lines of p1 are the
-    allowed lines through a point of r other than p1 and the closed points.
-    When every line pair meets once, each allowed line meets r in exactly
-    one point, so they are the allowed lines through neither p1 nor a
-    closed point, and the work is linear in the points of r; otherwise the
-    union over the other points is taken.
+    allowed lines through a point of r other than p1.  When every line pair
+    meets once, each allowed line meets r in exactly one point, so they are
+    the allowed lines through neither p1 nor a closed point, and the work is
+    linear in the points of r.  Otherwise the union over every other point
+    is taken, closed or not; only the canonical walk asks for it, and a
+    superset of the closable lines would stay sound.
     """
     pmask = arr.point_masks
-    firsts, closed, through = [], set(), 0  # the closed points and the lines through them
+    firsts, through = [], 0  # the lines through the points of the orbits taken
     for points in orbits or [[p] for p in sorted(arr.line_points[r])]:
         p1 = points[0]
         if covered:
             lines = ~(pmask[p1] | through)
         else:
             lines = 0
-            for p in arr.line_points[r] - closed - {p1}:
+            for p in arr.line_points[r] - {p1}:
                 lines |= pmask[p]
         firsts.append((p1, allowed & lines))
         for p in points if orbits else ():
-            closed.add(p)
             through |= pmask[p]
     return firsts
 
@@ -553,20 +550,23 @@ def _orbit_plan(arr: Arrangement) -> tuple:
     r may use every line outside the orbits taken before; their first point
     p1 runs over the least points of the orbits of the stabiliser of r on
     the points of r, and a point in an orbit taken before p1's cannot close
-    the cycle.  Each entry is (r, allowed lines, ((p1, closable lines),
-    ...)); the first is line 0 with its least point first.  The closable
-    masks assume pair coverage, which the search checks before asking.
+    the cycle.  Those point orbits come from one pass over the flags, for
+    every line at once (:func:`_point_orbits`).  Each entry is (r, allowed
+    lines, ((p1, closable lines), ...)); the first is line 0 with its least
+    point first.  The closable masks assume pair coverage, which the search
+    checks before asking.
     """
     gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
     if not gens:
         return ()
     k = arr.k
+    points = _point_orbits(arr, gens)
     plan = []
     taken = 0
     for orbit in _orbits(range(k), [(j, g[j]) for g in gens for j in range(k)]):
         r = orbit[0]
         allowed = ((1 << k) - 1) & ~taken & ~(1 << r)
-        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, True, _stabiliser_point_orbits(arr, gens, r)))))
+        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, True, points[r]))))
         taken |= sum(1 << j for j in orbit)
     return tuple(plan)
 
@@ -651,7 +651,6 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     def rec(
         seq: list[int],
         pts: list[int],
-        chosen_lines: int,
         hit: int,
         cover_prev: int,
         cover_all: int,
@@ -666,7 +665,7 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
             # close: the meet of the last and first lines must avoid every
             # interior line (which also forces it off all chosen points)
             pc = (lmask[tip] & lmask[j1]).bit_length() - 1
-            if covered or (pc >= 0 and pmask[pc] & chosen_lines == (1 << j1) | (1 << tip)):
+            if covered or (pc >= 0 and pmask[pc] & sum(1 << j for j in seq) == (1 << j1) | (1 << tip)):
                 return InducedCycleWitness(tuple(seq), tuple(pts + [pc]))
             return None
 
@@ -701,7 +700,7 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                         nxt &= ~pmask[(lmask[cand] & lmask[j1]).bit_length() - 1]
                 seq.append(cand)
                 pts.append(p)
-                w = rec(seq, pts, chosen_lines | cb, hit_p, cover_all, cover_all | lmask[cand], nxt)
+                w = rec(seq, pts, hit_p, cover_all, cover_all | lmask[cand], nxt)
                 if w is not None:
                     return w
                 seq.pop()
@@ -720,7 +719,7 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                 # canonical form: the last line is above j2; -(low << 1)
                 # has the bits of the lines above j2
                 clos = closable & -(low << 1) if tiebreak else closable
-                w = rec([j1, j2], [p1], (1 << j1) | low, pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
+                w = rec([j1, j2], [p1], pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
                 if w is not None:
                     return w
         return None

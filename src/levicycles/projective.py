@@ -202,13 +202,18 @@ def coordinates_to_payload(lines) -> dict:
     The JSON payload of coordinate lines, which
     :func:`coordinates_from_payload` reads back.
 
-    Raises ArrangementError for a line with a scalar that
-    :func:`coordinates_from_payload` would refuse, so nothing is written
-    that cannot be read.
+    One field descriptor covers every row, so rational rows may join
+    cyclotomic ones of one conductor.  Raises ArrangementError for a row
+    over another conductor, which would read back as another line, and for
+    a line with a scalar that :func:`coordinates_from_payload` would
+    refuse, so nothing is written that cannot be read as it was.
     """
     conductor = next((c.n for line in lines for c in line.coords if isinstance(c, CycloNumber)), None)
     rows = []
     for j, line in enumerate(lines):
+        n = line.coords[0].n if isinstance(line.coords[0], CycloNumber) else conductor  # one field per line
+        if n != conductor:
+            raise ArrangementError(f"coordinate row {j}: conductor {n}, but an earlier row has conductor {conductor}")
         if conductor is not None and max(map(_height, line.coords)) >= 10**MAX_COEFFICIENT_DIGITS:
             raise ArrangementError(f"coordinate row {j}: {_TOO_HIGH}")
         try:
@@ -247,7 +252,7 @@ def coordinates_from_payload(payload, k: int):
             raise ArrangementError(f"coordinate row {j}: a scalar is longer than {MAX_SCALAR_CHARS} characters")
         try:
             scalars = tuple(parse_scalar(text, conductor) for text in row)
-            if conductor is not None and max(c.height for c in scalars) >= 10**MAX_COEFFICIENT_DIGITS:
+            if conductor is not None and max(map(_height, scalars)) >= 10**MAX_COEFFICIENT_DIGITS:
                 raise ValueError(_TOO_HIGH)
             out.append(ProjLine(scalars))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError

@@ -5,6 +5,7 @@ import pytest
 from levicycles import families
 from levicycles.arrangement import Arrangement, ArrangementError
 from levicycles.claims import (
+    CHECKERS,
     CONFIRMED,
     NOT_APPLICABLE,
     REFUTED,
@@ -350,6 +351,7 @@ def test_existence_theorems_hold_on_pool(full_pool):
 def test_all_checkers_order():
     claims = [r.claim for r in all_checkers(families.mu4())]
     assert claims == ["c6", "c8", "c10", "t3-bounds", "tq-bounds", "no-2k-supersolvable"]
+    assert list(CHECKERS) == claims  # the CLI's --claim ids
 
 
 def test_reports_are_deterministic():

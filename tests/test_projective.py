@@ -246,6 +246,20 @@ def test_arrangement_json_carries_coordinates():
     assert back.coordinates == arr.coordinates
 
 
+def test_payload_writer_refuses_mixed_conductors():
+    # Rows over conductors 5 and 7 were both written as conductor 5, with
+    # the same strings, and read back as two equal lines without an error.
+    e5, e7 = CycloNumber.root(5), CycloNumber.root(7)
+    lines = [ProjLine((1, e5, 0)), Z, ProjLine((1, e7, 0))]
+    with pytest.raises(ArrangementError, match="row 2: conductor 7, but an earlier row has conductor 5"):
+        coordinates_to_payload(lines)
+    with pytest.raises(ArrangementError, match="row 2: conductor 7"):
+        arrangement_to_json(Arrangement(3, [(0, 1, 2)], coordinates=lines))
+    # A rational row fits any conductor and reads back as written.
+    mixed = [Z, ProjLine((1, e5, 0))]
+    assert coordinates_from_payload(coordinates_to_payload(mixed), 2) == mixed
+
+
 def test_payload_writer_refuses_what_the_reader_refuses():
     # A line built in Python can have canonical entries the reader refuses:
     # here 1/a has integers of thousands of digits, and writing it raised a
