@@ -21,28 +21,23 @@ only when the first prefix found nothing, and every generator is checked
 to preserve incidences before use.  The stabilisers' point orbits are the
 group's orbits on flags, incident (line, point) pairs, cut down to each
 line, so no stabiliser is formed.  When no symmetry is verified, or some
-line pair does not meet exactly once, the canonical plan follows instead:
-every line as root with the lines above it, and a tie-break that keeps the
-second line smaller than the last.  The recursion also carries
-``closable``, the lines that can still close the cycle, and never places a
-last line outside it.
+line pair does not meet exactly once (then no group is computed), the
+group is trivial and its plan takes every line as root with the lines
+above it.  The recursion also carries ``closable``, the lines that can
+still close the cycle, and never places a last line outside it.
 
 `Absent` is only reported after the plan has been exhausted; hitting the
 node budget yields `Unknown`, never a silent under-search.  A found
-witness is always the canonical plan's first find, so it does not depend
-on the group.  The first orbit root to find a cycle is the least line on
-any cycle of that length, so only that root's canonical walk runs for the
-witness, and not even that when the find is at the root's least point and
-already in canonical form.
+witness is the plan's first find in rotation/reflection normal form, so it
+depends on the labelled arrangement and its verified group.
 
 The search is serial with one fixed schedule: root prefixes (first line,
 first point, second line) in plan order, each exhausted before the next,
 stopping at the first find.  Statuses, witnesses and node counts are
-therefore deterministic; node counts include the witness walk.  The
-budget caps the nodes of one `exists_cycle` call; `longest_cycle` and
-`spectrum` apply it to each length.  Progress goes to the
-``levicycles.cycles`` logger at debug level: one record per exhausted
-root and one per settled length.
+therefore deterministic.  The budget caps the nodes of one `exists_cycle`
+call; `longest_cycle` and `spectrum` apply it to each length.  Progress
+goes to the ``levicycles.cycles`` logger at debug level: one record per
+exhausted root and one per settled length.
 """
 
 from __future__ import annotations
@@ -510,25 +505,25 @@ def _point_orbits(arr: Arrangement, gens: list[list[int]]) -> dict[int, list[lis
     return {j: sorted(cuts) for j, cuts in orbits.items()}
 
 
-def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits=None) -> list[tuple[int, int]]:
+def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits) -> list[tuple[int, int]]:
     """
     The first points of root line r, each with its closable lines.
 
     ``orbits`` are the point orbits of the stabiliser of r, in order: each
     gives its least point as p1, and its points are closed for the orbits
     after it, because a cycle through one of them was searched from its
-    orbit.  Without them every point of r is a first point and none is
-    closed, as in the canonical walk.  The closable lines of p1 are the
-    allowed lines through a point of r other than p1.  When every line pair
-    meets once, each allowed line meets r in exactly one point, so they are
-    the allowed lines through neither p1 nor a closed point, and the work is
-    linear in the points of r.  Otherwise the union over every other point
-    is taken, closed or not; only the canonical walk asks for it, and a
-    superset of the closable lines would stay sound.
+    orbit, in the orientation that enters r there.  The closable lines of p1
+    are the allowed lines through a point of r other than p1.  When every
+    line pair meets once, each allowed line meets r in exactly one point, so
+    they are the allowed lines through neither p1 nor a closed point, and
+    the work is linear in the points of r.  Otherwise a line may meet r in
+    several points or in none, so the union over every other point is
+    taken, closed or not: a superset of the closable lines, which stays
+    sound and searches each cycle in both orientations.
     """
     pmask = arr.point_masks
     firsts, through = [], 0  # the lines through the points of the orbits taken
-    for points in orbits or [[p] for p in sorted(arr.line_points[r])]:
+    for points in orbits:
         p1 = points[0]
         if covered:
             lines = ~(pmask[p1] | through)
@@ -537,14 +532,14 @@ def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits=None) 
             for p in arr.line_points[r] - {p1}:
                 lines |= pmask[p]
         firsts.append((p1, allowed & lines))
-        for p in points if orbits else ():
+        for p in points:
             through |= pmask[p]
     return firsts
 
 
-def _orbit_plan(arr: Arrangement) -> tuple:
+def _orbit_plan(arr: Arrangement, covered: bool) -> tuple:
     """
-    Root plan over orbit representatives, empty when no symmetry is found.
+    Root plan over orbit representatives of the verified automorphism group.
 
     Line orbits are taken in order of their least line r.  The cycles through
     r may use every line outside the orbits taken before; their first point
@@ -553,12 +548,11 @@ def _orbit_plan(arr: Arrangement) -> tuple:
     the cycle.  Those point orbits come from one pass over the flags, for
     every line at once (:func:`_point_orbits`).  Each entry is (r, allowed
     lines, ((p1, closable lines), ...)); the first is line 0 with its least
-    point first.  The closable masks assume pair coverage, which the search
-    checks before asking.
+    point first.  Without pair coverage no group is computed, and with it
+    none may be found: the trivial group gives the plan of singleton orbits,
+    every line r with the lines above it and every point of r in order.
     """
-    gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
-    if not gens:
-        return ()
+    gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)] if covered else []
     k = arr.k
     points = _point_orbits(arr, gens)
     plan = []
@@ -566,7 +560,7 @@ def _orbit_plan(arr: Arrangement) -> tuple:
     for orbit in _orbits(range(k), [(j, g[j]) for g in gens for j in range(k)]):
         r = orbit[0]
         allowed = ((1 << k) - 1) & ~taken & ~(1 << r)
-        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, True, points[r]))))
+        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, covered, points[r]))))
         taken |= sum(1 << j for j in orbit)
     return tuple(plan)
 
@@ -574,28 +568,21 @@ def _orbit_plan(arr: Arrangement) -> tuple:
 def _roots(arr: Arrangement, covered: bool):
     """
     The root plan, produced lazily: per root, (root line, allowed lines,
-    first points with their closable lines, tie-break).
+    first points with their closable lines).
 
-    Line 0 at its least point comes first, with every other line allowed
-    and no tie-break; it needs no group.  Then, when pair coverage holds
-    and symmetry is verified, the orbit plan follows, without its own copy
-    of that root prefix.  Otherwise the canonical plan follows, from the
-    same place, with its tie-break: every line j1 in turn with the lines
-    above it allowed, and every point of j1 as first point.  The orbit plan
-    is computed once per arrangement and kept in ``arr._symmetry``.
+    Line 0 at its least point comes first, with every other line allowed;
+    it needs no group.  The orbit plan follows, without its own copy of
+    that root prefix.  It is computed once per arrangement, only when the
+    first prefix found nothing, and kept in ``arr._symmetry``.
     """
     every = (1 << arr.k) - 1
-    yield 0, every - 1, _firsts(arr, 0, every - 1, covered)[:1], False
-    plan = arr._symmetry[1] if covered else ()
+    yield 0, every - 1, _firsts(arr, 0, every - 1, covered, [[p] for p in sorted(arr.line_points[0])[:1]])
+    plan = arr._symmetry[1]
     if plan is None:
-        plan = _orbit_plan(arr)
-        object.__setattr__(arr, "_symmetry", (True, plan))
+        plan = _orbit_plan(arr, covered)
+        object.__setattr__(arr, "_symmetry", (covered, plan))
     for r, allowed, firsts in plan:
-        yield r, allowed, firsts[r == 0:], False  # r == 0 only at the first entry
-    if not plan:
-        for j1 in range(arr.k):
-            above = every >> (j1 + 1) << (j1 + 1)
-            yield j1, above, _firsts(arr, j1, above, covered)[j1 == 0:], True
+        yield r, allowed, firsts[r == 0:]  # r == 0 only at the first entry
 
 
 def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
@@ -605,10 +592,10 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     All incidence tests are bitmask operations on the arrangement's own
     views: lmask[j] is the point set of line j, pmask[p] the line set
     through p, and the meet of lines a and b is the single bit of
-    ``lmask[a] & lmask[b]`` (its highest bit where the data breaks pair
-    coverage).  A root is a line j1 with ``above``, the lines that may
-    follow it, and its first points p1; a root prefix (j1, p1, j2) takes
-    j2 from ``pmask[p1] & above``.
+    ``lmask[a] & lmask[b]`` where every line pair meets exactly once.  A
+    root is a line j1 with ``above``, the lines that may follow it, and its
+    first points p1; a root prefix (j1, p1, j2) takes j2 from
+    ``pmask[p1] & above``.
 
     The recursion carries ``hit``, the OR of pmask[q] over every chosen
     point q: the set of lines through some chosen point.  Every chosen line
@@ -626,27 +613,20 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     skipped when ``closable & ~(hit | pmask[p])`` is empty, and each interior
     line c removes the lines through its meet with j1.  When every line pair
     meets exactly once, a last line from ``closable`` always closes the
-    cycle; otherwise the update is skipped and the closure is tested.
+    cycle; otherwise the update is skipped, and the closure tests every
+    point the last and first lines share, lowest first.
 
     The roots come from :func:`_roots`, and the first one to find a cycle
-    settles the length; when none does, the length is absent.  A root of
-    the canonical plan keeps only lines above j2 in ``closable``, so the
-    second line is smaller than the last, and its first find is the
-    witness.  A root r of the orbit plan finds a cycle only after every
-    earlier orbit found none, so no line of those orbits, and no line
-    below r, lies on a cycle of length 2i.  The canonical witness is then
-    the first find of the canonical walk of r alone, over the lines r
-    allows.  At r's least point that walk is the orbit walk with the
-    tie-break, in the same order, so a find there with its last line above
-    j2 is the witness already; otherwise the walk runs, without the least
-    point when it found nothing.  ``nodes`` and the budget count both walks.
+    settles the length; when none does, the length is absent.  The first
+    find, put in rotation/reflection normal form, is the witness, so it is
+    determined by the labelled arrangement and its verified group, and
+    ``nodes`` and the budget count one walk of the plan.
     """
     lmask, pmask = arr.line_masks, arr.point_masks
     if arr._symmetry is None:  # pair coverage now, the orbit plan once a root needs it
         object.__setattr__(arr, "_symmetry", (_first_bad_pair(arr) is None, None))  # Arrangement blocks plain assignment
     covered = arr._symmetry[0]
     nodes = 0
-    j1 = above = 0  # the root line and the lines that may follow it, set by walk
 
     def rec(
         seq: list[int],
@@ -663,10 +643,19 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
         tip = seq[-1]
         if len(seq) == i:
             # close: the meet of the last and first lines must avoid every
-            # interior line (which also forces it off all chosen points)
-            pc = (lmask[tip] & lmask[j1]).bit_length() - 1
-            if covered or (pc >= 0 and pmask[pc] & sum(1 << j for j in seq) == (1 << j1) | (1 << tip)):
-                return InducedCycleWitness(tuple(seq), tuple(pts + [pc]))
+            # interior line (which also forces it off all chosen points); with
+            # pair coverage, closable already made sure of that
+            meets = lmask[tip] & lmask[j1]
+            if covered:
+                return InducedCycleWitness(tuple(seq), tuple(pts + [meets.bit_length() - 1]))
+            # otherwise the two lines may share several points, or none
+            ends, chosen = (1 << j1) | (1 << tip), sum(1 << j for j in seq)
+            while meets:
+                low = meets & -meets
+                meets ^= low
+                pc = low.bit_length() - 1
+                if pmask[pc] & chosen == ends:
+                    return InducedCycleWitness(tuple(seq), tuple(pts + [pc]))
             return None
 
         final = len(seq) == i - 1
@@ -707,41 +696,26 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                 pts.pop()
         return None
 
-    def walk(root: int, allowed: int, firsts, tiebreak: bool) -> InducedCycleWitness | None:
-        nonlocal j1, above
-        j1, above = root, allowed
-        for p1, closable in firsts:
-            rest = pmask[p1] & above
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j2 = low.bit_length() - 1
-                # canonical form: the last line is above j2; -(low << 1)
-                # has the bits of the lines above j2
-                clos = closable & -(low << 1) if tiebreak else closable
-                w = rec([j1, j2], [p1], pmask[p1], lmask[j1], lmask[j1] | lmask[j2], clos)
-                if w is not None:
-                    return w
-        return None
-
     try:
-        for r, allowed, firsts, tiebreak in _roots(arr, covered):
-            w = walk(r, allowed, firsts, tiebreak)
-            if w is not None:
-                break
-            _debug("i=%d root line %d: %d first points exhausted, %d nodes", i, r, len(firsts), nodes)
-        else:
-            return SearchResult(ABSENT, None, nodes)
-        least = w.points[0] == (lmask[r] & -lmask[r]).bit_length() - 1
-        if not (tiebreak or least and w.lines[-1] > w.lines[1]):
-            w = walk(r, allowed, _firsts(arr, r, allowed, covered)[not least:], True)
+        # rec reads j1, the root line, and above, the lines that may follow it
+        for j1, above, firsts in _roots(arr, covered):
+            for p1, closable in firsts:
+                rest = pmask[p1] & above
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    j2 = low.bit_length() - 1
+                    w = rec([j1, j2], [p1], pmask[p1], lmask[j1], lmask[j1] | lmask[j2], closable)
+                    if w is not None:
+                        return SearchResult(FOUND, w.canonical(), nodes)
+            _debug("i=%d root line %d: %d first points exhausted, %d nodes", i, j1, len(firsts), nodes)
     except _BudgetHit:
         return SearchResult(UNKNOWN, None, nodes)
     finally:
         # rec reaches itself through its closure; breaking that cycle frees
         # the call's functions at once instead of at a full collection
         rec = None
-    return SearchResult(FOUND, w, nodes)
+    return SearchResult(ABSENT, None, nodes)
 
 
 def _check_i(i: int) -> None:
@@ -765,10 +739,11 @@ def exists_cycle(
     """
     Decide whether the Levi graph of arr has an induced cycle of length 2i.
 
-    Returns Found with a canonical witness, Absent after exhausting the root
-    plan, or Unknown when the search visited more than ``budget`` nodes
-    first.  The budget must be None or a non-negative node
-    count for the whole call; a negative one raises ArrangementError.
+    Returns Found with a witness, the root plan's first find in canonical
+    form; Absent after exhausting the plan; or Unknown when the search
+    visited more than ``budget`` nodes first.  The budget must be None or a
+    non-negative node count for the whole call; a negative one raises
+    ArrangementError.
     """
     _check_i(i)
     _check_budget(budget)

@@ -414,17 +414,17 @@ GOLDEN_VERDICTS = {
     "generic(3)": ("CNNNNR", 4, "CNNNNR", 4),
     "generic(4)": ("CCNNNN", 5, "CCNNNN", 5),
     "generic(5)": ("CCNNNN", 5, "CCNNNN", 5),
-    "ceva(3)": ("CCNCCN", 21, "CCNCCN", 21),
+    "ceva(3)": ("CCNCCN", 15, "CCNCCN", 15),
     "nine_three": ("CCNCCN", 15, "CCNCCN", 15),
     "ten_line": ("CCNCCN", 23, "CCNCCN", 23),
     "mu4": ("CCNCCC", 21, "CCNCCC", 21),
-    "a_w_k(5,0)": ("CCNNCC", 38, "CCNNCC", 38),
+    "a_w_k(5,0)": ("CCNNCC", 35, "CCNNCC", 35),
     "a_w_k(5,1)": ("CCRNCC", 61, "CCRNCC", 61),
-    "hesse": ("CCNNCN", 14, "CCNNCN", 14),
-    "ceva(4)": ("CCNNCN", 14, "CCNNCN", 14),
-    "ceva(5)": ("CCNNCN", 14, "CCNNCN", 14),
-    "supersolvable_mu3(5)": ("CCNNCC", 19, "CCNNCC", 19),
-    "supersolvable_mu3(6)": ("CCNNCC", 20, "CCNNCC", 20),
+    "hesse": ("CCNNCN", 10, "CCNNCN", 10),
+    "ceva(4)": ("CCNNCN", 10, "CCNNCN", 10),
+    "ceva(5)": ("CCNNCN", 10, "CCNNCN", 10),
+    "supersolvable_mu3(5)": ("CCNNCC", 15, "CCNNCC", 15),
+    "supersolvable_mu3(6)": ("CCNNCC", 16, "CCNNCC", 16),
     "a_w_k(6,2)": ("CCNNCC", 29, "CCNNCC", 29),
 }
 _LETTER = {CONFIRMED: "C", REFUTED: "R", NOT_APPLICABLE: "N", VERDICT_UNKNOWN: "U"}

@@ -700,12 +700,12 @@ GOLDEN_CLI = {
     "levi cyclic_nine_three --json": "dc3908b0e6c27a17",
     "cycles cyclic_nine_three --longest": "f42f9b461c02c799",
     "cycles cyclic_nine_three --longest --witness": "795c681fa1b7ac5a",
-    "cycles cyclic_nine_three --longest --format json": "b99360986b2a3bec",
+    "cycles cyclic_nine_three --longest --format json": "d44f3d62342ae446",
     "cycles mu4 --longest --witness": "c96f319c38726ff3",
     "cycles generic3 --longest --format json": "b301dc874ddb9f73",
     "cycles cyclic_nine_three --exists 8": "207d98fbe27c1400",
     "cycles cyclic_nine_three --exists 9 --witness": "6ea24a50ec3cb009",
-    "cycles cyclic_nine_three --exists 9 --format json": "590edd7c1ab69bdc",
+    "cycles cyclic_nine_three --exists 9 --format json": "bcd1fe4ebd4fa0f5",
     "cycles mu4 --exists 5 --format json": "3aef7e19e02da193",
     "cycles mu4 --spectrum 6 --witness": "3e9da4f219a971f6",
     "cycles mu4 --spectrum 6 --format json": "e602369f793175fb",
@@ -727,7 +727,7 @@ GOLDEN_CLI = {
     "verify cyclic_nine_three --claim no-2k-supersolvable --format json": "0d947af69ba57f42",
     "verify generic3 --claim no-2k-supersolvable": "d215d3a54f7d1dc2",
     "verify --claim nine-three-longest": "a539dca77d42376f",
-    "verify --claim ten-line-longest": "7b7fb220554c2411",
+    "verify --claim ten-line-longest": "ddd9a64b199ba951",
     "verify --claim hesse-longest --format json": "869211ae80876ac7",
     "verify --claim mu4-longest": "28e06af1b0ee499f",
     "verify --claim ceva-range --n 4": "e0a21d71da233e7e",
