@@ -113,8 +113,8 @@ class Arrangement:
     through the point) for O(1) membership tests in the cycle solver.
     Instances are immutable; the one private slot, ``_symmetry``, holds what
     the cycle solver computes once per arrangement: None until the first
-    search, then the pair (every line pair meets once, orbit root plan),
-    whose plan stays None until a search gets past its first root prefix.
+    search, then the pair (first root prefix's plan entry, orbit root
+    plan), whose plan stays None until a search gets past that prefix.
     """
 
     __slots__ = (
@@ -314,12 +314,13 @@ def subarrangement(arr: Arrangement, lines: Iterable[int]) -> Arrangement:
     exactly those with >= 2 kept lines.  A subarrangement of a valid
     arrangement is always valid (every kept pair still meets exactly once).
     """
+    lines = list(lines)
+    for j in lines:  # before sorting: False would stand for line 0, and 1.0 for line 1
+        if not _is_index(j, arr.k):
+            raise ArrangementError(f"line id {j!r} is not an integer in 0..{arr.k - 1}")
     keep = sorted(set(lines))
     if len(keep) < 1:
         raise ArrangementError("subarrangement needs at least one line")
-    for j in keep:
-        if not 0 <= j < arr.k:
-            raise ArrangementError(f"line id {j} out of range")
     relabel = {j: i for i, j in enumerate(keep)}
     pts: list[frozenset[int]] = []
     names: list[str] = []
@@ -344,7 +345,8 @@ def relabeled(arr: Arrangement, line_perm: Sequence[int], point_perm: Sequence[i
     Used by the relabeling-invariance tests; names and coordinates travel
     with their lines/points.
     """
-    if sorted(line_perm) != list(range(arr.k)) or sorted(point_perm) != list(range(arr.s)):
+    ids_ok = all(_is_index(j, arr.k) for j in line_perm) and all(_is_index(p, arr.s) for p in point_perm)
+    if not ids_ok or sorted(line_perm) != list(range(arr.k)) or sorted(point_perm) != list(range(arr.s)):
         raise ArrangementError("relabeled: not a permutation")
     new_pts: list[frozenset[int] | None] = [None] * arr.s
     new_pnames: list[str | None] = [None] * arr.s

@@ -4,27 +4,26 @@ An induced cycle of length 2i in the Levi graph alternates i lines and i
 points, so the search runs over *line sequences*: extend a partial sequence
 (j1, p1, j2, ..., jt) by a point on jt lying on no earlier chosen line, then
 by a new line through that point avoiding every chosen point.  Closing
-requires the meet of the last and first lines to avoid all interior lines.
+requires a point of the last and first lines on no interior line.
 Inducedness is maintained incrementally with the arrangement's own incidence
 bitsets (``line_masks``, ``point_masks``), so accepted sequences never need a
-post-hoc filter and a call builds no table of its own.
+post-hoc filter, and the per-root tables are built once per arrangement.
 
 One loop walks the roots of a lazily produced root plan through one
-recursion.  Its first root prefix is line 0 at its least point, in both
-orientations, which needs no group.  The orbit plan follows: one root line
-per orbit of the incidence automorphism group, and on it one first point
-per orbit of that line's stabiliser, so an absence proof searches one copy
-of each symmetric subtree (McKay's orderly scheme, "Isomorph-free
-exhaustive generation", 1998).  The group comes from
-individualisation-refinement on the Levi graph, once per arrangement and
-only when the first prefix found nothing, and every generator is checked
-to preserve incidences before use.  The stabilisers' point orbits are the
-group's orbits on flags, incident (line, point) pairs, cut down to each
-line, so no stabiliser is formed.  When no symmetry is verified, or some
-line pair does not meet exactly once (then no group is computed), the
-group is trivial and its plan takes every line as root with the lines
-above it.  The recursion also carries ``closable``, the lines that can
-still close the cycle, and never places a last line outside it.
+recursion.  Its first root prefix is line 0 at its least point, which needs
+no group.  The orbit plan follows: one root line per orbit of the incidence
+automorphism group, and on it one first point per orbit of that line's
+stabiliser, so an absence proof searches one copy of each symmetric subtree
+(McKay's orderly scheme, "Isomorph-free exhaustive generation", 1998).  The
+group comes from individualisation-refinement on the Levi graph, once per
+arrangement and only when the first prefix found nothing, and every
+generator is checked to preserve incidences before use.  The stabilisers'
+point orbits are the group's orbits on flags, incident (line, point) pairs,
+cut down to each line, so no stabiliser is formed.  When no symmetry is
+verified, the group is trivial and its plan takes every line as root with
+the lines above it.  The recursion also carries ``closable``, the lines that
+can still close the cycle, and never places a last line outside it.  No rule
+assumes that every line pair meets exactly once.
 
 `Absent` is only reported after the plan has been exhausted; hitting the
 node budget yields `Unknown`, never a silent under-search.  A found
@@ -49,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from itertools import groupby
 from operator import itemgetter
 
-from .arrangement import Arrangement, ArrangementError, ValidationReport, _first_bad_pair, _is_index, _load_json
+from .arrangement import Arrangement, ArrangementError, ValidationReport, _is_index, _load_json
 
 __all__ = [
     "FOUND",
@@ -505,7 +504,7 @@ def _point_orbits(arr: Arrangement, gens: list[list[int]]) -> dict[int, list[lis
     return {j: sorted(cuts) for j, cuts in orbits.items()}
 
 
-def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits) -> list[tuple[int, int]]:
+def _firsts(arr: Arrangement, r: int, allowed: int, orbits) -> list[tuple[int, int]]:
     """
     The first points of root line r, each with its closable lines.
 
@@ -513,31 +512,38 @@ def _firsts(arr: Arrangement, r: int, allowed: int, covered: bool, orbits) -> li
     gives its least point as p1, and its points are closed for the orbits
     after it, because a cycle through one of them was searched from its
     orbit, in the orientation that enters r there.  The closable lines of p1
-    are the allowed lines through a point of r other than p1.  When every
-    line pair meets once, each allowed line meets r in exactly one point, so
-    they are the allowed lines through neither p1 nor a closed point, and
-    the work is linear in the points of r.  Otherwise a line may meet r in
-    several points or in none, so the union over every other point is
-    taken, closed or not: a superset of the closable lines, which stays
-    sound and searches each cycle in both orientations.
+    are the allowed lines through a free point of r, one that is neither p1
+    nor closed.  They are collected from the last orbit back, so the work is
+    linear in the points of r.
     """
     pmask = arr.point_masks
-    firsts, through = [], 0  # the lines through the points of the orbits taken
-    for points in orbits:
-        p1 = points[0]
-        if covered:
-            lines = ~(pmask[p1] | through)
-        else:
-            lines = 0
-            for p in arr.line_points[r] - {p1}:
-                lines |= pmask[p]
-        firsts.append((p1, allowed & lines))
-        for p in points:
-            through |= pmask[p]
-    return firsts
+    firsts, later = [], 0  # the lines through the points of the orbits after this one
+    for points in reversed(orbits):
+        rest = 0
+        for p in points[1:]:
+            rest |= pmask[p]
+        firsts.append((points[0], allowed & (later | rest)))
+        later |= rest | pmask[points[0]]
+    return firsts[::-1]
 
 
-def _orbit_plan(arr: Arrangement, covered: bool) -> tuple:
+def _blocks(arr: Arrangement, r: int) -> list[int]:
+    """
+    Per line c, lines that cannot close a cycle rooted at r once c is
+    interior, since no cycle closes on a point of c: the lines other than r
+    that meet r only at the highest point c and r share, or none when c
+    misses r.  Where every line pair meets once, that point is the meet of c
+    and r, and they are all lines through it but r.
+    """
+    lmask, on_r = arr.line_masks, arr.line_masks[r]
+    only: dict[int, int] = {}  # keyed by the bit length of a point of r
+    for d in range(arr.k):
+        if d != r and (m := lmask[d] & on_r) and not m & (m - 1):
+            only[m.bit_length()] = only.get(m.bit_length(), 0) | 1 << d
+    return [only.get((lmask[c] & on_r).bit_length(), 0) for c in range(arr.k)]
+
+
+def _orbit_plan(arr: Arrangement) -> tuple:
     """
     Root plan over orbit representatives of the verified automorphism group.
 
@@ -547,12 +553,12 @@ def _orbit_plan(arr: Arrangement, covered: bool) -> tuple:
     the points of r, and a point in an orbit taken before p1's cannot close
     the cycle.  Those point orbits come from one pass over the flags, for
     every line at once (:func:`_point_orbits`).  Each entry is (r, allowed
-    lines, ((p1, closable lines), ...)); the first is line 0 with its least
-    point first.  Without pair coverage no group is computed, and with it
-    none may be found: the trivial group gives the plan of singleton orbits,
-    every line r with the lines above it and every point of r in order.
+    lines, ((p1, closable lines), ...), :func:`_blocks` of r); the first is
+    line 0 with its least point first.  When no symmetry is verified the
+    group is trivial, and its plan takes every line r with the lines above
+    it and every point of r in order.
     """
-    gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)] if covered else []
+    gens = [g for g in _automorphisms(arr) if _is_automorphism(arr, g)]
     k = arr.k
     points = _point_orbits(arr, gens)
     plan = []
@@ -560,29 +566,33 @@ def _orbit_plan(arr: Arrangement, covered: bool) -> tuple:
     for orbit in _orbits(range(k), [(j, g[j]) for g in gens for j in range(k)]):
         r = orbit[0]
         allowed = ((1 << k) - 1) & ~taken & ~(1 << r)
-        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, covered, points[r]))))
+        plan.append((r, allowed, tuple(_firsts(arr, r, allowed, points[r])), _blocks(arr, r)))
         taken |= sum(1 << j for j in orbit)
     return tuple(plan)
 
 
-def _roots(arr: Arrangement, covered: bool):
+def _roots(arr: Arrangement):
     """
     The root plan, produced lazily: per root, (root line, allowed lines,
-    first points with their closable lines).
+    first points with their closable lines, blocks).
 
     Line 0 at its least point comes first, with every other line allowed;
     it needs no group.  The orbit plan follows, without its own copy of
-    that root prefix.  It is computed once per arrangement, only when the
-    first prefix found nothing, and kept in ``arr._symmetry``.
+    that root prefix.  Both are computed once per arrangement and kept in
+    ``arr._symmetry``, the orbit plan only when the first prefix found
+    nothing.
     """
-    every = (1 << arr.k) - 1
-    yield 0, every - 1, _firsts(arr, 0, every - 1, covered, [[p] for p in sorted(arr.line_points[0])[:1]])
-    plan = arr._symmetry[1]
+    if arr._symmetry is None:  # line 0 at its least point, with every other point free
+        every = (1 << arr.k) - 1
+        first = (0, every - 1, _firsts(arr, 0, every - 1, [[p] for p in sorted(arr.line_points[0])])[:1], _blocks(arr, 0))
+        object.__setattr__(arr, "_symmetry", (first, None))  # Arrangement blocks plain assignment
+    first, plan = arr._symmetry
+    yield first
     if plan is None:
-        plan = _orbit_plan(arr, covered)
-        object.__setattr__(arr, "_symmetry", (covered, plan))
-    for r, allowed, firsts in plan:
-        yield r, allowed, firsts[r == 0:]  # r == 0 only at the first entry
+        plan = _orbit_plan(arr)
+        object.__setattr__(arr, "_symmetry", (first, plan))
+    for r, allowed, firsts, blocks in plan:
+        yield r, allowed, firsts[r == 0:], blocks  # r == 0 only at the first entry
 
 
 def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
@@ -590,12 +600,10 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     Line-sequence DFS over one arrangement, one root at a time.
 
     All incidence tests are bitmask operations on the arrangement's own
-    views: lmask[j] is the point set of line j, pmask[p] the line set
-    through p, and the meet of lines a and b is the single bit of
-    ``lmask[a] & lmask[b]`` where every line pair meets exactly once.  A
-    root is a line j1 with ``above``, the lines that may follow it, and its
-    first points p1; a root prefix (j1, p1, j2) takes j2 from
-    ``pmask[p1] & above``.
+    views: lmask[j] is the point set of line j and pmask[p] the line set
+    through p.  A root is a line j1 with ``above``, the lines that may
+    follow it, its first points p1 and its :func:`_blocks`; a root prefix
+    (j1, p1, j2) takes j2 from ``pmask[p1] & above``.
 
     The recursion carries ``hit``, the OR of pmask[q] over every chosen
     point q: the set of lines through some chosen point.  Every chosen line
@@ -608,13 +616,13 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     ``above & ~(hit | pmask[p])`` has fewer lines than are still needed.
 
     It also carries ``closable``, the lines that may still close the cycle:
-    lines through a free point of j1, one on no interior line and not ruled
-    out by the plan.  The last line is taken from it, an exit point p is
-    skipped when ``closable & ~(hit | pmask[p])`` is empty, and each interior
-    line c removes the lines through its meet with j1.  When every line pair
-    meets exactly once, a last line from ``closable`` always closes the
-    cycle; otherwise the update is skipped, and the closure tests every
-    point the last and first lines share, lowest first.
+    lines through a free point of j1, one not ruled out by the plan.  The
+    last line is taken from it, an exit point p is skipped when
+    ``closable & ~(hit | pmask[p])`` is empty, and each interior line c
+    removes ``blocks[c]``, lines that could close only on a point of c.  The
+    closure takes the lowest point the last and first lines share that lies
+    on no interior line.  When every line pair meets exactly once, a last
+    line from ``closable`` always closes there, at its one meet with j1.
 
     The roots come from :func:`_roots`, and the first one to find a cycle
     settles the length; when none does, the length is absent.  The first
@@ -623,9 +631,6 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
     ``nodes`` and the budget count one walk of the plan.
     """
     lmask, pmask = arr.line_masks, arr.point_masks
-    if arr._symmetry is None:  # pair coverage now, the orbit plan once a root needs it
-        object.__setattr__(arr, "_symmetry", (_first_bad_pair(arr) is None, None))  # Arrangement blocks plain assignment
-    covered = arr._symmetry[0]
     nodes = 0
 
     def rec(
@@ -642,13 +647,9 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
             raise _BudgetHit
         tip = seq[-1]
         if len(seq) == i:
-            # close: the meet of the last and first lines must avoid every
-            # interior line (which also forces it off all chosen points); with
-            # pair coverage, closable already made sure of that
+            # close at the lowest point the last and first lines share that
+            # lies on no interior line (so on no chosen point either)
             meets = lmask[tip] & lmask[j1]
-            if covered:
-                return InducedCycleWitness(tuple(seq), tuple(pts + [meets.bit_length() - 1]))
-            # otherwise the two lines may share several points, or none
             ends, chosen = (1 << j1) | (1 << tip), sum(1 << j for j in seq)
             while meets:
                 low = meets & -meets
@@ -681,15 +682,11 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
                 cb = cands & -cands
                 cands ^= cb
                 cand = cb.bit_length() - 1
-                nxt = closable
-                if not final:
-                    if not lmask[cand] & ~cover_all & ~pb:
-                        continue  # no exit point: cand would dead-end
-                    if covered:
-                        nxt &= ~pmask[(lmask[cand] & lmask[j1]).bit_length() - 1]
+                if not final and not lmask[cand] & ~cover_all & ~pb:
+                    continue  # no exit point: cand would dead-end
                 seq.append(cand)
                 pts.append(p)
-                w = rec(seq, pts, hit_p, cover_all, cover_all | lmask[cand], nxt)
+                w = rec(seq, pts, hit_p, cover_all, cover_all | lmask[cand], closable & ~blocks[cand])
                 if w is not None:
                     return w
                 seq.pop()
@@ -697,8 +694,9 @@ def _search(arr: Arrangement, i: int, budget: int | None) -> SearchResult:
         return None
 
     try:
-        # rec reads j1, the root line, and above, the lines that may follow it
-        for j1, above, firsts in _roots(arr, covered):
+        # rec reads j1, the root line, above, the lines that may follow it,
+        # and blocks, the closable lines each interior line rules out
+        for j1, above, firsts, blocks in _roots(arr):
             for p1, closable in firsts:
                 rest = pmask[p1] & above
                 while rest:

@@ -169,6 +169,11 @@ def test_subarrangement_rejects_bad_lines():
         subarrangement(triangle(), [])
     with pytest.raises(ArrangementError):
         subarrangement(triangle(), [0, 7])
+    # ids are integers, not bools or floats that compare equal to one
+    mu4 = families.mu4()
+    for lines in ([False, 1, 2], [0, 1.0, 2], [0, "1", 2]):
+        with pytest.raises(ArrangementError):
+            subarrangement(mu4, lines)
 
 
 def test_relabeled_roundtrip():
@@ -190,6 +195,14 @@ def test_relabeled_roundtrip():
 def test_relabeled_rejects_non_permutation():
     with pytest.raises(ArrangementError):
         relabeled(triangle(), [0, 0, 1], [0, 1, 2])
+    mu4 = families.mu4()
+    for lperm, pperm in (
+        (list(range(6)), [True, 0, 2, 3, 4, 5, 6]),
+        ([0, 1.0, 2, 3, 4, 5], list(range(7))),
+        (list(range(6)), [0, 1, 2, 3, 4, 5, "6"]),
+    ):
+        with pytest.raises(ArrangementError):
+            relabeled(mu4, lperm, pperm)
 
 
 def test_json_roundtrip():

@@ -96,9 +96,9 @@ def test_orbits_match_brute_force(name, arr, seed):
 
 def test_orbit_plan_takes_one_root_per_line_orbit():
     arr = families.ceva(6)  # line-transitive; line 0 has six triple points and a 6-fold point
-    plan = cycles._orbit_plan(arr, True)
-    assert [r for r, _, _ in plan] == [0]
-    r, allowed, firsts = plan[0]
+    plan = cycles._orbit_plan(arr)
+    assert [r for r, *_ in plan] == [0]
+    r, allowed, firsts, _ = plan[0]
     assert allowed == ((1 << arr.k) - 1) & ~1
     # The triple points form one orbit, whose least point 0 is the first
     # root prefix: every line not through it can close.  The 6-fold point
@@ -129,11 +129,11 @@ def test_wrong_automorphism_is_rejected(monkeypatch):
     # Used, the wrong map would join two line orbits that are not symmetric.
     assert len(_line_orbits(arr, gens + [wrong])) < len(orbits)
 
-    expected_plan = cycles._orbit_plan(arr, True)
+    expected_plan = cycles._orbit_plan(arr)
     expected = _answers(spectrum(_fresh(arr)))
     real = cycles._automorphisms
     monkeypatch.setattr(cycles, "_automorphisms", lambda x: [wrong] + real(x))
-    assert cycles._orbit_plan(arr, True) == expected_plan
+    assert cycles._orbit_plan(arr) == expected_plan
     assert _answers(spectrum(_fresh(arr))) == expected
 
 
@@ -223,18 +223,18 @@ def _oracle_found(arr):
     return tuple(sorted(n // 2 for n in oracle_induced_cycle_lengths(build_levi(arr).to_networkx()) if n >= 6))
 
 
+# Nodes of each whole spectrum, a golden count of the closing rules.
+BROKEN_NODES = {"ceva4-minus-point": 495, "hesse-minus-point": 1150, "nine-extra-double": 272}
+
+
 @pytest.mark.parametrize("name,arr,found", _broken(), ids=[b[0] for b in _broken()])
-def test_broken_pair_coverage_computes_no_group(monkeypatch, name, arr, found):
+def test_broken_pair_coverage_matches_oracle(name, arr, found):
     assert not validate_arrangement(arr).checks["pair-coverage"]
-    monkeypatch.setattr(cycles, "_automorphisms", lambda x: pytest.fail("orbits computed"))
     spec = spectrum(arr)
     assert {i: (r.witness.lines, r.witness.points) for i, r in spec.results.items() if r.status == FOUND} == found
     assert all(r.status == ABSENT for i, r in spec.results.items() if i not in found)
     assert spec.found == _oracle_found(arr)
-    # The plan kept is the trivial group's: every line a root, with the lines above it.
-    every = (1 << arr.k) - 1
-    assert arr._symmetry[0] is False
-    assert [(r, allowed) for r, allowed, _ in arr._symmetry[1]] == [(r, every >> (r + 1) << (r + 1)) for r in range(arr.k)]
+    assert sum(r.nodes for r in spec.results.values()) == BROKEN_NODES[name]
 
 
 @pytest.mark.parametrize("points,lines,meets", [
@@ -285,15 +285,14 @@ def test_cached_plan_answers_as_a_fresh_one(name, arr):
     assert spectrum(cached).results == spectrum(_fresh(arr)).results
 
 
-def _closable_by_definition(arr, r, allowed, orbits, closing):
+def _closable_by_definition(arr, r, allowed, orbits):
     """The allowed lines through a point of r other than p1 and the closed points, by union."""
     firsts, closed = [], set()
     for points in orbits:
         p1 = points[0]
         lines = set().union(*(arr.point_lines[p] for p in arr.line_points[r] - closed - {p1}))
         firsts.append((p1, sum(1 << j for j in lines) & allowed))
-        if closing:
-            closed.update(points)
+        closed.update(points)
     return firsts
 
 
@@ -302,16 +301,45 @@ MASK_CASES = POOL + [(name, arr) for name, arr, _ in _broken()]
 
 @pytest.mark.parametrize("name,arr", MASK_CASES, ids=[name for name, _ in MASK_CASES])
 def test_first_point_masks_match_their_definition(monkeypatch, name, arr):
-    # The plan's closable masks, from the linear rule where every line pair
-    # meets once and from the union where it does not, against the union:
-    # under the verified group and under the trivial one, whose orbits are
-    # singletons.  Without pair coverage no point is closed.
-    covered = validate_arrangement(arr).checks["pair-coverage"]
-    for gens in [cycles._automorphisms(arr), []] if covered else [[]]:
+    # The plan's closable masks, collected from the last orbit back, against
+    # the union over the free points: under the verified group and under the
+    # trivial one, whose orbits are singletons.  The first root prefix is
+    # line 0 at its least point, with every other point free.
+    every = (1 << arr.k) - 1
+    _, _, first, _ = next(cycles._roots(_fresh(arr)))
+    assert first == _closable_by_definition(arr, 0, every - 1, [[p] for p in sorted(arr.line_points[0])])[:1]
+    for gens in [cycles._automorphisms(arr), []]:
         monkeypatch.setattr(cycles, "_automorphisms", lambda x, gens=gens: gens)
         orbits = cycles._point_orbits(arr, gens)
-        for r, allowed, firsts in cycles._orbit_plan(arr, covered):
-            assert list(firsts) == _closable_by_definition(arr, r, allowed, orbits[r], covered), r
+        for r, allowed, firsts, _ in cycles._orbit_plan(arr):
+            assert list(firsts) == _closable_by_definition(arr, r, allowed, orbits[r]), r
+
+
+BLOCK_CASES = [
+    (f"{name}-seed{seed}" if seed else name, arr if seed is None else _shuffled(arr, seed))
+    for seed in (None, 1, 2)
+    for name, arr in MASK_CASES + [(f"sweep{t}", arr) for t, arr in enumerate(_without_pair_coverage(2024, 5))]
+]
+
+
+@pytest.mark.parametrize("name,arr", BLOCK_CASES, ids=[name for name, _ in BLOCK_CASES])
+def test_blocks_drop_only_lines_that_cannot_close(name, arr):
+    # Once c is an interior line, no cycle rooted at r closes on a point of
+    # c, so blocks[c] may hold only lines whose every point on r lies on c.
+    # Where every line pair meets once, it holds all of them: the lines
+    # other than r through the meet of c and r.
+    covered = validate_arrangement(arr).checks["pair-coverage"]
+    pmask = arr.point_masks
+    for r in range(arr.k):
+        blocks, on_r = cycles._blocks(arr, r), arr.line_points[r]
+        assert len(blocks) == arr.k
+        for c in range(arr.k):
+            for d in range(arr.k):
+                if blocks[c] >> d & 1:
+                    assert d != r and arr.line_points[d] & on_r <= arr.line_points[c], (r, c, d)
+            if covered and c != r:
+                (meet,) = arr.line_points[c] & on_r
+                assert blocks[c] == pmask[meet] & ~(1 << r), (r, c)
 
 
 # -- progress logging
