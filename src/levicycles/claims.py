@@ -213,11 +213,6 @@ def verify_c8(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     return _lengths_claim(session, hyps, arr, [4])
 
 
-def _has_common_point(arr: Arrangement, lines: list[int]) -> bool:
-    need = set(lines)
-    return any(need <= set(pls) for pls in arr.point_lines)
-
-
 def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     """
     Case analysis for existence of an induced 10-cycle when k >= 10.
@@ -236,9 +231,10 @@ def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
             the published cases miss this configuration, which the
             two-pencil worked example occupies.)
 
-    Every matching case's prediction is tested against the exhaustive
-    solver answer; if no case matches at any q-fold point the claim is out
-    of scope and the report is NotApplicable.
+    The side conditions read only the multiplicity profile, so they are
+    decided once.  Every matching case's prediction at every q-fold point
+    is tested against the exhaustive solver answer; if no case matches the
+    claim is out of scope and the report is NotApplicable.
     """
     session = _Session("c10", budget)
     hyp_k = Hypothesis("at least ten lines", arr.k >= 10, f"k = {arr.k}")
@@ -253,24 +249,26 @@ def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
     tkq = prof.t_r(k - q)
     tkq1 = prof.t_r(k - q + 1)
     qpoints = [p for p in range(arr.s) if arr.multiplicity(p) == q]
+    pmask = arr.point_masks
+    every = (1 << k) - 1
+    wide = [m for m in pmask if m.bit_count() >= k - q]  # points that may lie on all k - q lines off P
 
-    # predicted := None marks a one-directional case (existence asserted,
-    # absence of a cycle refutes; presence never does).
-    matches: list[tuple[int, str, bool | None]] = []
-    for p in qpoints:
-        through = set(arr.point_lines[p])
-        complement = [j for j in range(k) if j not in through]
-        blocked = _has_common_point(arr, complement)
-        if tkq == 0 and tkq1 == 0 and k <= 2 * q - 2:
-            matches.append((p, "(i)", None))
-        if tkq != 0:
-            matches.append((p, "(i')", not blocked))
-        if k == 2 * q - 1 and tkq == 0:
-            matches.append((p, "(ii)", tq == 1))
-        if k == 2 * q:
-            matches.append((p, "(iii)", tq == 1))
-        if tkq == 0 and tkq1 != 0 and k <= 2 * q - 2:
-            matches.append((p, "(ext)", not blocked))
+    def free(p: int) -> bool:
+        """The lines off p have no common point."""
+        return all(every & ~(pmask[p] | m) for m in wide)
+
+    cases = [
+        (case, predict)
+        for case, holds, predict in (
+            ("(i)", tkq == 0 and tkq1 == 0 and k <= 2 * q - 2, lambda p: True),
+            ("(i')", tkq != 0, free),
+            ("(ii)", k == 2 * q - 1 and tkq == 0, lambda p: tq == 1),
+            ("(iii)", k == 2 * q, lambda p: tq == 1),
+            ("(ext)", tkq == 0 and tkq1 != 0 and k <= 2 * q - 2, free),
+        )
+        if holds
+    ]
+    matches = [(p, case, predict(p)) for p in qpoints for case, predict in cases]
 
     scope = Hypothesis(
         "some case's side conditions match",
@@ -291,22 +289,14 @@ def verify_c10(arr: Arrangement, *, budget: int | None = None) -> ClaimReport:
         )
     exists = res.status == FOUND
 
-    notes: list[str] = []
-    bad = False
-    for p, case, predicted in matches:
-        if predicted is None:
-            ok = exists
-            want = "exists"
-        else:
-            ok = predicted == exists
-            want = "exists" if predicted else "does not exist"
-        notes.append(
-            f"point {p} case {case}: predicted 10-cycle {want}; "
-            f"solver says {'exists' if exists else 'does not exist'}"
-        )
-        bad = bad or not ok
+    said = {True: "exists", False: "does not exist"}
+    notes = tuple(
+        f"point {p} case {case}: predicted 10-cycle {said[predicted]}; solver says {said[exists]}"
+        for p, case, predicted in matches
+    )
+    bad = any(predicted != exists for _, _, predicted in matches)
     witnesses = (res.witness,) if exists else ()
-    return session.report((hyp_k, scope), REFUTED if bad else CONFIRMED, witnesses, tuple(notes))
+    return session.report((hyp_k, scope), REFUTED if bad else CONFIRMED, witnesses, notes)
 
 
 def _double_counts(arr: Arrangement) -> list[int]:

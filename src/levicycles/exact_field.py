@@ -343,8 +343,12 @@ class CycloNumber:
         return self.n == other.n and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        # Equal to hash((n, coeffs)) without building Fractions: Python hashes
-        # a rational a/d like the integer a * d^-1 modulo its hash modulus.
+        # A rational value equals that int or Fraction, so it hashes like it.
+        if self.is_rational():
+            a, d = self._num[0], self._den
+            return hash(a) if d == 1 else hash(Fraction(a, d))
+        # Otherwise equal to hash((n, coeffs)) without building Fractions: Python
+        # hashes a rational a/d like the integer a * d^-1 modulo its hash modulus.
         if self._den == 1:
             return hash((self.n, self._num))
         try:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -438,3 +439,21 @@ def test_golden_verdicts_and_nodes(full_pool):
             reports = all_checkers(arr, budget=budget)
             got += ("".join(_LETTER[r.verdict] for r in reports), sum(r.nodes for r in reports))
         assert got == GOLDEN_VERDICTS[name], name
+
+
+# Verdicts of all_checkers at budget 0 on arrangements of the largest
+# size a document may have (k <= 256): the hypotheses alone must stay cheap.
+SIZE_LIMIT = {
+    "generic(256)": (lambda: families.generic(256), "UUNNNN"),
+    "near_pencil(256)": (lambda: families.near_pencil(256), "UNUNUU"),
+    "two_modular(100,157)": (lambda: families.two_modular(100, 157), "UUUNUU"),
+    "ceva(85)": (lambda: families.ceva(85), "UUNNUN"),
+}
+
+
+def test_checker_hypotheses_at_the_size_limit():
+    arrangements = {name: make() for name, (make, _) in SIZE_LIMIT.items()}
+    start = time.perf_counter()
+    got = {name: "".join(_LETTER[r.verdict] for r in all_checkers(arr, budget=0)) for name, arr in arrangements.items()}
+    assert time.perf_counter() - start < 10.0
+    assert got == {name: verdicts for name, (_, verdicts) in SIZE_LIMIT.items()}

@@ -187,6 +187,29 @@ def test_orbit_plan_statuses_match_trivial_group_plan(monkeypatch, seed):
         assert all(validate_witness(arr, r.witness) for r in spec.results.values() if r.status == FOUND), name
 
 
+PLAN_CASES = [
+    (f"{name}-seed{seed}" if seed else name, arr if seed is None else _shuffled(arr, seed))
+    for seed in (None, 1, 2)
+    for name, arr in POOL
+]
+
+
+@pytest.mark.parametrize("group", ["verified", "trivial"])
+@pytest.mark.parametrize("name,arr", PLAN_CASES, ids=[name for name, _ in PLAN_CASES])
+def test_root_plan_drops_and_repeats_nothing(monkeypatch, name, arr, group):
+    # _roots walks line 0 at its least point before any group is computed,
+    # then the orbit plan without its first (root, first point) pair.  That
+    # is sound only while the orbit plan starts with the same prefix, with
+    # the same allowed and closable lines, so the walk is the plan's.
+    if group == "trivial":
+        monkeypatch.setattr(cycles, "_automorphisms", lambda x: [])
+
+    def flat(plan):
+        return [(r, allowed, p1, closable, blocks) for r, allowed, firsts, blocks in plan for p1, closable in firsts]
+
+    assert flat(cycles._roots(_fresh(arr))) == flat(cycles._orbit_plan(arr))
+
+
 # Spectra of arrangements whose line pairs do not all meet once: found
 # lengths with their witnesses, which the oracle confirms; every other
 # length up to min(k, s) is absent.

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import Arrangement, ArrangementError, arrangement_from_json, arrangement_to_json
+from levicycles.arrangement import (
+    Arrangement,
+    ArrangementError,
+    arrangement_from_json,
+    arrangement_to_json,
+    validate_arrangement,
+)
 from levicycles.exact_field import ConductorMismatch, CycloNumber, format_scalar, parse_scalar
 from levicycles.projective import (
     MAX_COEFFICIENT_DIGITS,
@@ -108,6 +114,16 @@ def test_arrangement_from_pencil_clusters_common_point():
     arr = arrangement_from_lines([X, Y, ProjLine((1, 1, 0))])
     assert arr.s == 1
     assert arr.point_lines == (frozenset({0, 1, 2}),)
+
+
+def test_rational_and_cyclotomic_meets_cluster_together():
+    # The meet of two rational lines has Fraction coordinates, a meet with a
+    # cyclotomic line CycloNumber ones; both are the point (0:0:1).
+    e = CycloNumber.root(5)
+    arr = arrangement_from_lines([X, Y, ProjLine((1, e, 0))])
+    assert arr.point_lines == (frozenset({0, 1, 2}),)
+    assert validate_arrangement(arr).passed
+    assert len({X, ProjLine((CycloNumber.one(5), 0, 0))}) == 1
 
 
 def test_arrangement_from_lines_errors():
