@@ -423,11 +423,11 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     for key in ("line_names", "point_names"):
         if not isinstance(doc.get(key, []), list):
             raise ArrangementError(f"'{key}' must be a list")
-    coordinates = None
+    coordinates = rows = None
     if "coordinates" in doc:
-        from .projective import coordinates_from_payload
+        from .projective import _read_payload
 
-        coordinates = coordinates_from_payload(doc["coordinates"], k)
+        coordinates, rows = _read_payload(doc["coordinates"], k)
     arr = Arrangement(
         k,
         [by_id[i] for i in range(len(entries))],
@@ -439,4 +439,25 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
         report = validate_arrangement(arr)
         if not report.passed:
             raise ArrangementError("invalid arrangement: " + "; ".join(report.failures[:5]))
+        if rows is not None:
+            _check_realised(arr, rows)
     return arr
+
+
+def _check_realised(arr: Arrangement, rows: list) -> None:
+    """
+    Raise ArrangementError unless the coordinate lines, written as ``rows``,
+    meet in exactly the listed points.
+    """
+    from .projective import GeometryError, _realised_points
+
+    try:
+        realised = set(map(frozenset, _realised_points(arr.coordinates, rows)))
+    except GeometryError as exc:
+        raise ArrangementError(f"coordinates: {exc}") from None
+    if set(arr.point_lines) != realised:
+        # Both pass validate_arrangement, so some listed point is not realised.
+        pid = next(p for p, fs in enumerate(arr.point_lines) if fs not in realised)
+        raise ArrangementError(
+            f"coordinates do not realise point {pid}: no meet of the coordinate lines lies on exactly its lines"
+        )

@@ -82,8 +82,6 @@ def _family_params(args, keys: tuple[str, ...]) -> dict:
 
 def _cmd_build(args) -> int:
     arr = build_family(args.family, **_family_params(args, ("m", "n", "k", "a", "b")))
-    if arr.k > MAX_LINES:
-        raise ArrangementError(f"line count {arr.k} exceeds the limit of {MAX_LINES}")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(arrangement_to_json(arr, indent=2))
         fh.write("\n")

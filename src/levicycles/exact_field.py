@@ -129,9 +129,9 @@ def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
 
     The inverse walks these pairs with :func:`_orbit_product`: 12 field
     products at conductor 31 instead of 29 one conjugate at a time.  The
-    costliest 256-line document within projective's scalar bounds loads in
-    1.2-1.8 s this way and in 3.2 s the direct way (2-core x86-64 VM,
-    Python 3.11), past the 2 s its test allows.
+    costliest 256-line documents within projective's scalar bounds are read
+    in about 1.1 s this way and took 3.2 s the direct way (2-core x86-64
+    VM, Python 3.11), past the 2 s their tests allow.
     """
     group, steps = {1 % n}, []
     for g in range(2, n):
@@ -183,8 +183,9 @@ class CycloNumber:
     denominator with no factor common to all of them, so equal elements have
     equal storage.  ``coeffs`` is the same value as phi(n) Fractions,
     sum coeffs[i] * e^i in the reduced basis, built on demand.  Arithmetic
-    runs in integers and reduces mod Phi_n; ``inverse`` multiplies the other
-    Galois conjugates and divides by the rational norm.
+    runs in integers and reduces mod Phi_n, except that a rational factor
+    only scales the numerators; ``inverse`` multiplies the other Galois
+    conjugates and divides by the rational norm.
     """
 
     __slots__ = ("n", "_num", "_den")
@@ -290,9 +291,18 @@ class CycloNumber:
         return -(self - other)
 
     def __mul__(self, other):
+        # A rational factor, 0 and +-1 included, scales the other's numerators.
+        if isinstance(other, (int, Fraction)):
+            return _cyclo(self.n, [a * other.numerator for a in self._num], self._den * other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.is_rational():
+            c = other._num[0]
+            return _cyclo(self.n, [a * c for a in self._num], self._den * other._den)
+        if self.is_rational():
+            c = self._num[0]
+            return _cyclo(self.n, [c * b for b in other._num], self._den * other._den)
         return _cyclo(self.n, _mul_mod(self.n, self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .arrangement import Arrangement, ArrangementError, _is_index
+from .arrangement import MAX_LINES, Arrangement, ArrangementError, _is_index
 from .exact_field import CycloNumber
 from .projective import ProjLine
 
@@ -57,6 +57,12 @@ class DuplicateExponent(BadParam):
     pass
 
 
+def _check_line_count(k: int) -> None:
+    """Refuse a line count above MAX_LINES, before anything is built."""
+    if k > MAX_LINES:
+        raise BadParam(f"line count {k} exceeds the limit of {MAX_LINES}")
+
+
 def _arrangement(k: int, points: Mapping[str, Iterable[int]],
                  line_names: Sequence[str] | None = None, base: int = 0) -> Arrangement:
     """
@@ -83,6 +89,7 @@ def near_pencil(k: int) -> Arrangement:
     """
     if not isinstance(k, int) or k < 3:
         raise BadParam(f"near_pencil needs k >= 3, got {k!r}")
+    _check_line_count(k)
     points: dict[str, Iterable[int]] = {"C": range(k - 1)}
     points.update({f"L{k}^L{i + 1}": (i, k - 1) for i in range(k - 1)})
     return _arrangement(k, points)
@@ -101,6 +108,7 @@ def two_modular(a: int, b: int) -> Arrangement:
     if not (isinstance(a, int) and isinstance(b, int) and 2 <= a < b):
         raise BadParam(f"two_modular needs 2 <= a < b, got a={a!r}, b={b!r}")
     k = a + b - 1
+    _check_line_count(k)
     points: dict[str, Iterable[int]] = {"P1": range(a), "P2": [0, *range(a, k)]}
     points.update({f"A{i}B{j - a + 1}": (i, j) for i in range(1, a) for j in range(a, k)})
     line_names = ["L0"] + [f"A{i}" for i in range(1, a)] + [f"B{j}" for j in range(1, b)]
@@ -111,6 +119,7 @@ def generic(k: int) -> Arrangement:
     """k lines in general position: C(k,2) double points, ids in (i,j) lex order."""
     if not isinstance(k, int) or k < 2:
         raise BadParam(f"generic needs k >= 2, got {k!r}")
+    _check_line_count(k)
     return _arrangement(k, {f"p{i}-{j}": (i, j) for i, j in combinations(range(k), 2)})
 
 
@@ -137,6 +146,7 @@ def ceva(n: int) -> Arrangement:
     """
     if not isinstance(n, int) or n < 3:
         raise BadParam(f"ceva needs n >= 3, got {n!r}")
+    _check_line_count(3 * n)
     if n == 3:
         warnings.warn("ceva(3): the n-fold vertices are themselves triple points (t_3 = 12)")
     points = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
@@ -293,6 +303,7 @@ def supersolvable_mu3(m: int) -> Arrangement:
     """
     if not isinstance(m, int) or m < 4:
         raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
+    _check_line_count(3 * m - 3)
     n = m - 2
     lx, ly, lz = 3 * n, 3 * n + 1, 3 * n + 2
     points = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
@@ -312,6 +323,7 @@ def _a_w_k_exponents(m: int, k: int, chosen: Sequence[int] | None) -> list[int]:
         raise BadParam(f"a_w_k needs m >= 5, got {m!r}")
     if not _is_index(k, m - 2):
         raise BadParam(f"a_w_k needs 0 <= k <= m-3 = {m - 3}, got k={k!r}")
+    _check_line_count(2 * m - 1 + k)  # x, y, z, two pencils of m - 2 lines, k more
     try:
         chosen = list(range(1, k + 1)) if chosen is None else list(chosen)
     except TypeError:
@@ -430,6 +442,7 @@ def ceva_coordinate_lines(n: int):
     """
     if not isinstance(n, int) or n < 2:
         raise BadParam(f"coordinate pencils need n >= 2, got {n!r}")
+    _check_line_count(3 * n)
     return _pencil(n, 0, 1, range(n)) + _pencil(n, 1, 2, range(n)) + _pencil(n, 0, 2, range(n))
 
 
@@ -451,6 +464,7 @@ def supersolvable_mu3_coordinate_lines(m: int):
     """The ceva(m-2) lines followed by x, y, z over Q(e), in builder order."""
     if not isinstance(m, int) or m < 4:
         raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
+    _check_line_count(3 * m - 3)
     n = m - 2
     return ceva_coordinate_lines(n) + _rows(_AXES, n)
 

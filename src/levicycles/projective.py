@@ -4,11 +4,24 @@ Points and lines live in P^2 with homogeneous coordinates drawn from one
 field per object (all-rational or all one conductor); the canonical
 representative scales the first nonzero coordinate to 1, which turns
 projective equality into plain tuple comparison.
+
+:func:`arrangement_from_lines` finds the singular points of a line list
+without normalising each meet, which costs a field inverse.  It clusters
+the C(k, 2) meets by their images in F_p under the standard reduction
+Z[e] -> F_p, e -> w, for a prime p = 1 (mod n) and a primitive n-th root
+of unity w mod p (H. Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138, Springer 1993).  Equal points stay equal mod p, so a
+cluster can only merge points; each cluster of three or more lines is
+confirmed exactly, one cross product and one dot product per further
+line.  Whenever the images cannot decide, the exact path computes and
+normalises every meet, so the answer never depends on p.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arrangement import Arrangement, ArrangementError
@@ -44,10 +57,13 @@ MAX_CONDUCTOR = 32
 # MAX_SCALAR_CHARS bounds the parse, which could otherwise sum any number
 # of terms.  The written form of any value within MAX_COEFFICIENT_DIGITS has
 # at most phi(n) <= 30 terms such as "-a/b*e^29" of at most 33 characters,
-# so every such value fits in MAX_SCALAR_CHARS.  The costliest document
+# so every such value fits in MAX_SCALAR_CHARS.  The costliest documents
 # within these bounds, 256 lines whose entries have thirty 13-digit
-# numerators over one 13-digit denominator at conductor 31, loads in about
-# 1.1 s (2-core x86-64 VM, Python 3.11); one row takes about 4 ms.
+# numerators over one 13-digit denominator at conductor 31, are answered in
+# about 1.1 s (2-core x86-64 VM, Python 3.11), whether the rows realise the
+# listed points or not; one row takes about 4 ms to read, and the check
+# that the rows meet in the listed points, run on the rows as written, adds
+# about 0.1 s to a 255-fold point.
 MAX_COEFFICIENT_DIGITS = 13
 MAX_SCALAR_CHARS = 1024
 
@@ -156,19 +172,70 @@ def incident(p: ProjPoint, l: ProjLine) -> bool:
     return not total
 
 
-def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
-    """
-    The incidence structure of a list of pairwise distinct lines.
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin: these bases decide every m < 3.4 * 10^14."""
+    bases = (2, 3, 5, 7, 11, 13, 17)
+    if m < 2 or m in bases:
+        return m in bases
+    if any(m % b == 0 for b in bases):
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
-    All C(k,2) pairwise meets are computed exactly and clustered by canonical
-    coordinates; each cluster becomes one singular point whose line set is
-    everything passing through it.  Points are ordered by their sorted line-id
-    signature, which is deterministic and independent of the field.  The
-    produced arrangement carries the input lines as coordinate metadata.
+
+@lru_cache(maxsize=None)
+def _field_map(n: int) -> tuple[int, int]:
     """
-    lines = list(lines)
-    if len(lines) < 2:
-        raise GeometryError("need at least two lines")
+    A prime p > 2^30 with p = 1 (mod n), and a primitive n-th root of unity
+    w mod p, so that e -> w is a ring map from Z[e] onto F_p.
+
+    p is the first such prime above a random start in [2^30, 2^31), drawn
+    once per conductor and process.  Only the time to an answer depends on
+    p, never the answer; a fixed p would let a document list two lines
+    that are distinct but proportional mod p and so force every meet onto
+    the exact path, which costs about a second per meet of dense lines at
+    conductor 31.
+    """
+    start = 2**30 + int.from_bytes(os.urandom(4), "big") % 2**30
+    p = (start // n + 1) * n + 1
+    while not _is_prime(p):
+        p += n
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in factors):
+            return p, w
+        g += 1
+
+
+def _residue(c, p: int, w: int) -> int | None:
+    """The image of a scalar in F_p under e -> w, or None when p divides its denominator."""
+    if isinstance(c, CycloNumber):
+        value, den = 0, c._den
+        for a in reversed(c._num):
+            value = (value * w + a) % p
+    else:
+        value, den = c.numerator, c.denominator
+    if den % p == 0:
+        return None
+    return value * pow(den, -1, p) % p
+
+
+def _exact_points(lines: Sequence[ProjLine]) -> list[set[int]]:
+    """The line set of every meet, from all C(k, 2) meets computed exactly."""
     through: dict[ProjPoint, set[int]] = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
@@ -178,8 +245,93 @@ def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
                 raise DuplicateLine(f"lines {i} and {j} coincide") from None
             through.setdefault(p, set()).add(i)
             through[p].add(j)
-    ordered = sorted(through.items(), key=lambda item: sorted(item[1]))
-    return Arrangement(len(lines), [m for _, m in ordered], coordinates=lines)
+    return list(through.values())
+
+
+def _points_mod_p(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[int]] | None:
+    """
+    The line set of every meet, from the meets' images in F_p, each cluster
+    of three or more lines confirmed exactly; None when that fails.
+
+    ``rows`` holds one coordinate triple per line, any multiple of it:
+    small written rows keep the exact confirmation cheap.
+    """
+    conductors = {c.n for row in rows for c in row if isinstance(c, CycloNumber)}
+    if len(conductors) > 1:
+        return None
+    p, w = _field_map(conductors.pop() if conductors else 1)
+    images = []
+    for row in rows:
+        image = [_residue(c, p, w) for c in row]
+        if None in image:
+            return None
+        images.append(image)
+    through: dict[tuple[int, int, int], set[int]] = {}
+    for i, (a0, a1, a2) in enumerate(images):
+        for j in range(i + 1, len(images)):
+            b0, b1, b2 = images[j]
+            x, y, z = (a1 * b2 - a2 * b1) % p, (a2 * b0 - a0 * b2) % p, (a0 * b1 - a1 * b0) % p
+            if x:
+                inv = pow(x, -1, p)
+                key = (1, y * inv % p, z * inv % p)
+            elif y:
+                key = (0, 1, z * pow(y, -1, p) % p)
+            elif z:
+                key = (0, 0, 1)
+            elif lines[i] == lines[j]:  # the first equal pair, as the exact path finds it
+                raise DuplicateLine(f"lines {i} and {j} coincide")
+            else:  # distinct lines, proportional mod p
+                return None
+            found = through.get(key)
+            if found is None:
+                through[key] = {i, j}
+            else:
+                found.add(i)
+                found.add(j)
+    # Equal exact meets have equal images, so a cluster is a union of exact
+    # points; it is one point exactly when its lines are concurrent.
+    for found in through.values():
+        if len(found) > 2:
+            a, b, *rest = sorted(found)
+            x, y, z = _cross(rows[a], rows[b])
+            for j in rest:
+                u, v, t = rows[j]
+                if x * u + y * v + z * t:
+                    return None
+    return list(through.values())
+
+
+def _realised_points(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[int]]:
+    """The line set of every meet of ``lines``, whose coordinates are ``rows`` up to scaling."""
+    points = _points_mod_p(lines, rows)
+    return _exact_points(lines) if points is None else points
+
+
+def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
+    """
+    The incidence structure of a list of pairwise distinct lines.
+
+    Every singular point is the set of lines through one of the C(k, 2)
+    pairwise meets.  The meets are clustered by their normalised images in
+    F_p under the ring map e -> w, for a prime p = 1 (mod n) and a
+    primitive n-th root of unity w mod p (n the lines' conductor, 1 over
+    Q).  Equal exact meets have equal images, so a cluster can merge points
+    but never split one: a two-line cluster is one point, and a larger one
+    is one point exactly when one exact cross product of two of its lines
+    is orthogonal to each further line.  When a denominator is a multiple
+    of p, the lines mix conductors, two distinct lines are proportional mod
+    p or a cluster is not concurrent, every meet is computed exactly and
+    normalised instead; that path raises ConductorMismatch for mixed
+    conductors.  Equal lines raise DuplicateLine.  Points are ordered by
+    their sorted line-id signature, which is deterministic and independent
+    of the field.  The produced arrangement carries the input lines as
+    coordinate metadata.
+    """
+    lines = list(lines)
+    if len(lines) < 2:
+        raise GeometryError("need at least two lines")
+    points = _realised_points(lines, [line.coords for line in lines])
+    return Arrangement(len(lines), sorted(points, key=sorted), coordinates=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +379,12 @@ def coordinates_to_payload(lines) -> dict:
 
 
 def coordinates_from_payload(payload, k: int):
+    """The lines of a coordinate payload, as :func:`coordinates_to_payload` writes it."""
+    return _read_payload(payload, k)[0]
+
+
+def _read_payload(payload, k: int) -> tuple[list[ProjLine], list[tuple]]:
+    """The lines of a coordinate payload and the scalar rows as written."""
     if not isinstance(payload, dict) or "field" not in payload or "lines" not in payload:
         raise ArrangementError("coordinate payload needs 'field' and 'lines'")
     field = payload["field"]
@@ -244,7 +402,7 @@ def coordinates_from_payload(payload, k: int):
         raise ArrangementError("coordinate 'lines' must be a list")
     if len(rows) != k:
         raise ArrangementError(f"coordinate payload has {len(rows)} lines, arrangement has {k}")
-    out = []
+    lines, written = [], []
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
             raise ArrangementError(f"coordinate row {j}: need a list of 3 scalar strings")
@@ -254,7 +412,8 @@ def coordinates_from_payload(payload, k: int):
             scalars = tuple(parse_scalar(text, conductor) for text in row)
             if conductor is not None and max(map(_height, scalars)) >= 10**MAX_COEFFICIENT_DIGITS:
                 raise ValueError(_TOO_HIGH)
-            out.append(ProjLine(scalars))
+            lines.append(ProjLine(scalars))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError
             raise ArrangementError(f"coordinate row {j}: {exc}") from None
-    return out
+        written.append(scalars)
+    return lines, written

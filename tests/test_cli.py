@@ -166,9 +166,17 @@ def _replace_with(new_doc):
     return mutate
 
 
+def _swap_rows(a, b):
+    def mutate(doc):
+        rows = doc["coordinates"]["lines"]
+        rows[a], rows[b] = rows[b], rows[a]
+
+    return mutate
+
+
 # Malformed documents derived from mu4 with its rational coordinates; each
-# used to end in a traceback (or, for a boolean k or line id or a large
-# conductor, to be accepted).
+# used to end in a traceback (or, for a boolean k or line id, a large
+# conductor or coordinates that contradict the points, to be accepted).
 HOSTILE_DOCUMENTS = [
     ("point-lines-int", ["stats"], _set("points", 0, "lines", 5)),
     ("line-names-int", ["levi", "--json"], _set("line_names", 7)),
@@ -187,6 +195,9 @@ HOSTILE_DOCUMENTS = [
      _set("coordinates", "field", {"type": "cyclotomic", "conductor": MAX_CONDUCTOR + 1})),
     ("scalar-over-long", ["stats"], _cyclotomic_scalar("0" * (MAX_SCALAR_CHARS + 1))),
     ("coefficient-over-long", ["stats"], _cyclotomic_scalar(f"{10**MAX_COEFFICIENT_DIGITS}*e")),
+    ("rows-swapped", ["stats"], _swap_rows(0, 1)),
+    ("scalar-perturbed", ["cycles", "--longest"], _set("coordinates", "lines", 3, 1, "-2")),
+    ("row-repeated", ["verify", "--all"], _set("coordinates", "lines", 4, ["1", "0", "0"])),
 ]
 
 
@@ -204,33 +215,81 @@ def test_hostile_document_is_usage_error(tmp_path, capsys, command, mutate):
     assert captured.err.startswith("error: ")
 
 
-def test_costliest_document_within_the_scalar_limits_loads_quickly(tmp_path, capsys):
-    # 256 lines over Q(e), e^31 = 1, the largest degree under MAX_CONDUCTOR;
-    # every entry has thirty numerators over one denominator, all of
-    # MAX_COEFFICIENT_DIGITS digits: the costliest rows a sweep of conductors,
-    # term counts and denominators found within the limits.  The lead
-    # entry's inverse has about 30 times their digits.
+def _costly_rows(count):
+    """
+    ``count`` rows over Q(e), e^31 = 1, the largest degree under
+    MAX_CONDUCTOR, whose every entry has thirty numerators over one
+    denominator, all of MAX_COEFFICIENT_DIGITS digits: the costliest rows a
+    sweep of conductors, term counts and denominators found within the
+    limits.  The lead entry's inverse has about 30 times their digits.  Row
+    j is (A_j, A_j - D, A_j - 2D) with A_j = A_0 - 3jD, so every row is a
+    line through (1:-2:1).
+    """
     top = 10**MAX_COEFFICIENT_DIGITS - 1
     rows = [
         ["+".join(f"{top - 30 * entry - i}/{top - 1}*e^{i}" for i in range(30)) for entry in range(3 * j, 3 * j + 3)]
-        for j in range(256)
+        for j in range(count)
     ]
     assert max(len(text) for row in rows for text in row) <= MAX_SCALAR_CHARS
+    return rows
+
+
+def _best_of_three(argv, capsys, code):
+    """The best time of up to three runs of ``argv``, each ending in ``code``, and the last output."""
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert run(argv) == code
+        best = min(best, time.perf_counter() - start)
+        captured = capsys.readouterr()
+        if best < 2.0:
+            break
+    return best, captured
+
+
+def test_costliest_document_within_the_scalar_limits_loads_quickly(tmp_path, capsys):
+    # 256 costly rows listed as near_pencil(256).  The rows are all
+    # concurrent, so they contradict the listed points and the document is
+    # refused.  About 1.4 s a run on a 2-core x86-64 VM; the bound holds
+    # for the best of up to three runs, which keeps a busy host's stalls
+    # out of it.
+    doc = json.loads(arrangement_to_json(families.near_pencil(256)))
+    doc["coordinates"] = {"field": {"type": "cyclotomic", "conductor": 31}, "lines": _costly_rows(256)}
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    best, captured = _best_of_three(["stats", str(path)], capsys, EXIT_USAGE)
+    assert captured.err.startswith("error: coordinates do not realise point 0: no meet of the coordinate lines")
+    assert best < 2.0
+
+
+def test_costliest_realisable_document_loads_quickly(tmp_path, capsys):
+    # The same rows, with the last one moved off their common point:
+    # near_pencil(256), whose 255-fold point is confirmed exactly by 253
+    # dot products with the rows as written.
+    rows = _costly_rows(256)
+    rows[-1][2] = rows[-1][1]  # (A, A - D, A - D) misses (1:-2:1)
     doc = json.loads(arrangement_to_json(families.near_pencil(256)))
     doc["coordinates"] = {"field": {"type": "cyclotomic", "conductor": 31}, "lines": rows}
     path = tmp_path / "costly.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    # About 1.3 s a run on a 2-core x86-64 VM.  The bound holds for the best
-    # of up to three runs, which keeps a busy host's stalls out of it.
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        assert run(["stats", str(path)]) == EXIT_OK
-        best = min(best, time.perf_counter() - start)
-        assert capsys.readouterr().out.startswith("k = 256\n")
-        if best < 2.0:
-            break
+    best, captured = _best_of_three(["stats", str(path)], capsys, EXIT_OK)
+    assert captured.out.startswith("k = 256\ns = 256\nt_2 = 255\nt_255 = 1\n")
     assert best < 2.0
+
+
+def test_repeated_coordinate_row_exits_without_a_traceback(tmp_path):
+    doc = json.loads(arrangement_to_json(arrangement_from_lines(families.mu4_coordinate_lines())))
+    doc["coordinates"]["lines"][5] = doc["coordinates"]["lines"][2]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "levicycles.cli", "stats", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", "error: coordinates: lines 2 and 5 coincide\n")
 
 
 def test_missing_file(capsys):

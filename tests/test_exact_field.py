@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from levicycles.exact_field import (
     ConductorMismatch,
     CycloNumber,
+    _cyclo,
+    _mul_mod,
     cyclo_arith,
     cyclotomic_polynomial,
     format_scalar,
@@ -401,3 +404,24 @@ def test_inverse_of_dense_element_matches_reference(n):
     x = CycloNumber(n, coeffs)
     assert x.inverse().coeffs == _ref_inverse(n, _ref_reduce(n, coeffs))
     assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_rational_factor_scales_like_the_full_product(n):
+    # A rational operand, 0 and +-1 included, scales the other's numerators
+    # instead of calling _mul_mod; the stored value must be the same.
+    def full(a, b):
+        return _cyclo(n, _mul_mod(n, a._num, b._num), a._den * b._den)
+
+    def stored(c):
+        return c.n, c._num, c._den
+
+    rng = random.Random(n)
+    phi = len(cyclotomic_polynomial(n)) - 1
+    for _ in range(25):
+        x = CycloNumber(n, [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(phi)])
+        r = rng.choice([0, 1, -1, rng.randrange(-10**9, 10**9), Fraction(rng.randrange(-99, 99), rng.randrange(1, 99))])
+        rc = CycloNumber.from_rational(n, r)
+        for product in (x * r, r * x, x * rc, rc * x):
+            assert stored(product) == stored(full(x, rc))
+        assert stored(rc * rc) == stored(full(rc, rc))

@@ -7,6 +7,7 @@ import pytest
 
 from levicycles import families
 from levicycles.arrangement import (
+    MAX_LINES,
     arrangement_to_json,
     modular_points,
     multiplicity_profile,
@@ -137,6 +138,41 @@ def test_build_family_dispatch():
 def test_build_family_errors(name, params, message):
     with pytest.raises(BadParam, match=message):
         build_family(name, **params)
+
+
+# One past MAX_LINES = 256 lines for each builder with a size parameter, and
+# the line count its message names.
+_OVERSIZE = [
+    (families.near_pencil, (257,), 257),
+    (families.generic, (257,), 257),
+    (families.two_modular, (2, 256), 257),
+    (families.ceva, (86,), 258),
+    (families.supersolvable_mu3, (87,), 258),
+    (families.a_w_k, (128, 2), 257),
+    (families.a_w_k, (129, 0), 257),
+    (families.ceva_coordinate_lines, (86,), 258),
+    (families.supersolvable_mu3_coordinate_lines, (87,), 258),
+    (families.a_w_k_coordinate_lines, (128, 2), 257),
+]
+
+
+@pytest.mark.parametrize("build,args,count", _OVERSIZE, ids=[f"{b.__name__}{a}" for b, a, _ in _OVERSIZE])
+def test_builders_refuse_more_than_max_lines_before_building(monkeypatch, build, args, count):
+    def built(*_args, **_kwargs):
+        raise AssertionError(f"{build.__name__}{args} built something past the line limit")
+
+    for helper in ("_arrangement", "_ceva_triples", "_pencil", "_rows"):
+        monkeypatch.setattr(families, helper, built)
+    with pytest.raises(BadParam, match=f"^line count {count} exceeds the limit of {MAX_LINES}$"):
+        build(*args)
+
+
+def test_builders_build_at_max_lines():
+    for arr in (families.two_modular(2, 255), families.generic(256), families.a_w_k(128, 1)):
+        assert arr.k == MAX_LINES
+    assert len(families.a_w_k_coordinate_lines(127, 3)) == MAX_LINES
+    with pytest.raises(BadParam, match="line count 257"):
+        families.a_w_k_coordinate_lines(127, 4)
 
 
 # -- coordinate realizations agree with the combinatorial builders

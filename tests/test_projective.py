@@ -1,16 +1,20 @@
 import json
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from levicycles import families
+from levicycles import families, projective
 from levicycles.arrangement import (
     Arrangement,
     ArrangementError,
     arrangement_from_json,
     arrangement_to_json,
+    relabeled,
     validate_arrangement,
 )
 from levicycles.exact_field import ConductorMismatch, CycloNumber, format_scalar, parse_scalar
@@ -307,3 +311,214 @@ def test_payload_writer_refuses_what_the_reader_refuses():
         coordinates_to_payload([ProjLine((1, past_limit, 0))])
     with pytest.raises(ArrangementError, match="row 0"):
         coordinates_from_payload({"field": {"type": "rational"}, "lines": [["1", "1" + "0" * 5000, "0"]]}, 1)
+
+
+# -- the realisation routine: meets clustered mod p, confirmed exactly, with
+# the exact path as fallback
+
+
+_exact_points = projective._exact_points  # the fallback, kept from the patches below
+
+
+def _exact(lines):
+    """Point line sets from every meet computed exactly, in signature order."""
+    return tuple(frozenset(fs) for fs in sorted(_exact_points(list(lines)), key=sorted))
+
+
+def _quiet(build, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # ceva(3) warns that its n-fold points are triple points
+        return build(*args)
+
+
+_FAMILY_LINES = (
+    [(f"ceva({n})", families.ceva_coordinate_lines, (n,)) for n in range(3, 17)]
+    + [(f"mu3({m})", families.supersolvable_mu3_coordinate_lines, (m,)) for m in range(4, 11)]
+    + [(f"a_w_k({m},{k})", families.a_w_k_coordinate_lines, (m, k)) for m in range(5, 10) for k in range(m - 2)]
+    + [("mu4", families.mu4_coordinate_lines, ()), ("nine_three", families.nine_three_coordinate_lines, ())]
+)
+
+
+@pytest.mark.parametrize("build,args", [case[1:] for case in _FAMILY_LINES], ids=[case[0] for case in _FAMILY_LINES])
+def test_clustered_meets_match_the_exact_path_on_the_families(build, args):
+    lines = build(*args)
+    arr = arrangement_from_lines(lines)
+    assert arr.point_lines == _exact(lines)
+    assert arr.coordinates == tuple(lines)
+
+
+def _conductor_sets(n):
+    """The coordinate families at conductor n, with the builder each realises."""
+    m = n + 2
+    sets = [(families.ceva_coordinate_lines(n), families.ceva, (n,)),
+            (families.supersolvable_mu3_coordinate_lines(m), families.supersolvable_mu3, (m,))]
+    if m >= 5:
+        sets += [(families.a_w_k_coordinate_lines(m, 1), families.a_w_k, (m, 1)),
+                 (families.a_w_k_coordinate_lines(m, m - 3), families.a_w_k, (m, m - 3))]
+    return sets
+
+
+@pytest.mark.parametrize("n", range(2, MAX_CONDUCTOR + 1))
+def test_clustered_meets_at_every_conductor(n):
+    # The round-trip sets of test_coordinate_families_round_trip_at_every_conductor.
+    # The exact path costs 35 s over all of them, so here it checks the
+    # conductors up to 10 and the closed-form builders check every one.
+    for lines, build, args in _conductor_sets(n):
+        points = arrangement_from_lines(lines).point_lines
+        if n <= 10:
+            assert points == _exact(lines), (build.__name__, args)
+        if n >= 3:
+            assert set(points) == set(_quiet(build, *args).point_lines), (build.__name__, args)
+
+
+@pytest.mark.slow
+def test_clustered_meets_match_the_exact_path_at_every_conductor():
+    for n in range(2, MAX_CONDUCTOR + 1):
+        for lines, build, args in _conductor_sets(n):
+            assert arrangement_from_lines(lines).point_lines == _exact(lines), (build.__name__, args)
+
+
+_small = st.integers(-4, 4)
+_triples = st.tuples(_small, _small, _small).filter(any)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(_triples, min_size=1, max_size=4), st.lists(_triples, max_size=8),
+       st.lists(st.tuples(st.integers(0, 3), _triples), max_size=9))
+def test_clustered_meets_match_the_exact_path_on_forced_concurrencies(centres, free, through):
+    # A line u x c passes through the centre c, so these force points of
+    # higher multiplicity; the free lines add collisions at random.
+    rows = free + [projective._cross(u, centres[i % len(centres)]) for i, u in through]
+    lines = list(dict.fromkeys(ProjLine(row) for row in rows if any(row)))
+    assume(len(lines) >= 2)
+    assert arrangement_from_lines(lines).point_lines == _exact(lines)
+
+
+def _small_prime(monkeypatch):
+    """Force p = 11, with 3 a primitive 5th root of unity mod 11, and count the exact path's calls."""
+    monkeypatch.setattr(projective, "_field_map", lambda n: {1: (11, 1), 5: (11, 3)}[n])
+    calls = []
+    monkeypatch.setattr(projective, "_exact_points", lambda lines: calls.append(len(lines)) or _exact_points(lines))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [families.ceva_coordinate_lines(5), families.supersolvable_mu3_coordinate_lines(7),
+     families.a_w_k_coordinate_lines(7, 2), families.mu4_coordinate_lines(),
+     families.nine_three_coordinate_lines(), [ProjLine((a, b, 1)) for a in range(4) for b in range(3)]],
+    ids=["ceva(5)", "mu3(7)", "a_w_k(7,2)", "mu4", "nine_three", "grid"],
+)
+def test_a_small_prime_gives_the_exact_answer(monkeypatch, lines):
+    expected = _exact(lines)
+    calls = _small_prime(monkeypatch)
+    assert arrangement_from_lines(lines).point_lines == expected
+    assert len(calls) <= 1
+
+
+def test_a_small_prime_confirms_or_falls_back(monkeypatch):
+    calls = _small_prime(monkeypatch)
+    # Three concurrent lines: one cluster of three, confirmed exactly.
+    assert arrangement_from_lines([X, Y, ProjLine((1, 1, 0))]).point_lines == (frozenset({0, 1, 2}),)
+    assert calls == []
+    # Distinct but proportional mod 11.
+    lines = [X, ProjLine((1, 11, 0)), Z]
+    assert arrangement_from_lines(lines).point_lines == _exact(lines)
+    assert calls == [3]
+    # A denominator that 11 divides.
+    lines = [X, ProjLine((1, Fraction(1, 11), 1)), Z]
+    assert arrangement_from_lines(lines).point_lines == _exact(lines)
+    assert calls == [3, 3]
+    # No two of these lines are proportional mod 11, but their meets (0:1:0),
+    # (0:-1:11) and (-11:1:0) are all (0:1:0) mod 11: a cluster of three
+    # lines that are not concurrent, which confirmation refuses.
+    lines = [X, Z, ProjLine((1, 11, 1))]
+    assert arrangement_from_lines(lines).point_lines == _exact(lines)
+    assert _exact(lines) == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+    assert calls == [3, 3, 3]
+
+
+def test_equal_lines_are_named_as_the_exact_path_names_them(monkeypatch):
+    e = CycloNumber.root(5)
+    for lines in ([X, Y, Z, ProjLine((2, 0, 0)), ProjLine((0, 3, 0))],
+                  [ProjLine((1, e, 0)), Z, ProjLine((1, e, 0)), ProjLine((1, e * e, 1))]):
+        with pytest.raises(DuplicateLine) as exact:
+            _exact_points(lines)
+        calls = _small_prime(monkeypatch)
+        with pytest.raises(DuplicateLine) as clustered:
+            arrangement_from_lines(lines)
+        assert str(clustered.value) == str(exact.value)
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_mixed_conductors_take_the_exact_path():
+    lines = [ProjLine((1, CycloNumber.root(5), 0)), Z, ProjLine((1, CycloNumber.root(7), 0))]
+    with pytest.raises(ConductorMismatch):
+        arrangement_from_lines(lines)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 31, 32])
+def test_field_map_is_a_prime_with_a_primitive_root(n):
+    p, w = projective._field_map(n)
+    assert p > 2**30 and (p - 1) % n == 0
+    assert all(p % q for q in range(2, 50000))  # trial division past sqrt(p): p is prime
+    assert pow(w, n, p) == 1
+    assert all(pow(w, d, p) != 1 for d in range(1, n))
+    # The map e -> w respects the arithmetic: the image of a product is the product of the images.
+    a, b = CycloNumber(n, [3, Fraction(-1, 2), 5]), CycloNumber(n, [Fraction(7, 3), 0, 1, -4])
+    image = lambda c: projective._residue(c, p, w)  # noqa: E731
+    assert image(a * b) == image(a) * image(b) % p
+
+
+# -- documents whose coordinates contradict their points
+
+
+def _document(lines):
+    return json.loads(arrangement_to_json(arrangement_from_lines(lines)))
+
+
+def _swapped_ceva_three():
+    doc = _document(families.ceva_coordinate_lines(3))
+    rows = doc["coordinates"]["lines"]
+    rows[0], rows[1] = rows[1], rows[0]
+    return doc
+
+
+def _perturbed_ceva_four():
+    doc = _document(families.ceva_coordinate_lines(4))
+    doc["coordinates"]["lines"][5][2] = "-e^3+1"  # was -e^3: YZ_3 leaves its triple points
+    return doc
+
+
+def _repeated_mu4_row():
+    doc = _document(families.mu4_coordinate_lines())
+    doc["coordinates"]["lines"][4] = doc["coordinates"]["lines"][1]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [(_swapped_ceva_three, "coordinates do not realise point"),
+     (_perturbed_ceva_four, "coordinates do not realise point"),
+     (_repeated_mu4_row, "coordinates: lines 1 and 4 coincide")],
+    ids=["swapped-rows", "perturbed-scalar", "repeated-row"],
+)
+def test_coordinates_that_contradict_the_points_are_refused(make, message):
+    text = json.dumps(make())
+    with pytest.raises(ArrangementError, match=message):
+        arrangement_from_json(text)
+    # Without validation a document loads as written.
+    assert arrangement_from_json(text, require_valid=False).coordinates is not None
+
+
+def test_coordinates_that_realise_relabelled_points_load():
+    # The points may be listed in any order, the lines in any order that the rows follow.
+    arr = arrangement_from_lines(families.ceva_coordinate_lines(4))
+    rng = random.Random(4)
+    line_perm, point_perm = list(range(arr.k)), list(range(arr.s))
+    rng.shuffle(line_perm)
+    rng.shuffle(point_perm)
+    moved = relabeled(arr, line_perm, point_perm)
+    back = arrangement_from_json(arrangement_to_json(moved))
+    assert back == moved and back.coordinates == moved.coordinates
