@@ -425,7 +425,7 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
             raise ArrangementError(f"'{key}' must be a list")
     coordinates = rows = None
     if "coordinates" in doc:
-        from .projective import _read_payload
+        from .projective import _check_realised, _read_payload
 
         coordinates, rows = _read_payload(doc["coordinates"], k)
     arr = Arrangement(
@@ -443,21 +443,3 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
             _check_realised(arr, rows)
     return arr
 
-
-def _check_realised(arr: Arrangement, rows: list) -> None:
-    """
-    Raise ArrangementError unless the coordinate lines, written as ``rows``,
-    meet in exactly the listed points.
-    """
-    from .projective import GeometryError, _realised_points
-
-    try:
-        realised = set(map(frozenset, _realised_points(arr.coordinates, rows)))
-    except GeometryError as exc:
-        raise ArrangementError(f"coordinates: {exc}") from None
-    if set(arr.point_lines) != realised:
-        # Both pass validate_arrangement, so some listed point is not realised.
-        pid = next(p for p, fs in enumerate(arr.point_lines) if fs not in realised)
-        raise ArrangementError(
-            f"coordinates do not realise point {pid}: no meet of the coordinate lines lies on exactly its lines"
-        )

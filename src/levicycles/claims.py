@@ -442,8 +442,6 @@ _RANGE_CLAIMS = {
 }
 NAMED_CLAIMS = (*_LONGEST_CLAIMS, *_RANGE_CLAIMS, "awk-max")
 
-_AWK_GUARD_M = 7
-
 
 def verify_named_claim(
     claim: str,
@@ -505,11 +503,6 @@ def verify_named_claim(
                 f"claimed maximum 4m = {claimed} for k = {k}",
                 "statement says maximum 4m; the proof's closing line says 2m; "
                 "the statement is what is tested",
-            )
-        if m > _AWK_GUARD_M:
-            return session.report(
-                (hyp,), VERDICT_UNKNOWN,
-                notes=extra + (f"m = {m} exceeds the search guard (m <= {_AWK_GUARD_M})",),
             )
         return _longest_claim(session, (hyp,), arr, claimed, extra)
 

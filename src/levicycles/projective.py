@@ -13,8 +13,8 @@ of unity w mod p (H. Cohen, *A Course in Computational Algebraic Number
 Theory*, GTM 138, Springer 1993).  Equal points stay equal mod p, so a
 cluster can only merge points; each cluster of three or more lines is
 confirmed exactly, one cross product and one dot product per further
-line.  Whenever the images cannot decide, the exact path computes and
-normalises every meet, so the answer never depends on p.
+line.  Whenever the images cannot decide, another prime is drawn, so the
+answer never depends on p.
 """
 
 from __future__ import annotations
@@ -202,11 +202,10 @@ def _field_map(n: int) -> tuple[int, int]:
     w mod p, so that e -> w is a ring map from Z[e] onto F_p.
 
     p is the first such prime above a random start in [2^30, 2^31), drawn
-    once per conductor and process.  Only the time to an answer depends on
-    p, never the answer; a fixed p would let a document list two lines
-    that are distinct but proportional mod p and so force every meet onto
-    the exact path, which costs about a second per meet of dense lines at
-    conductor 31.
+    once per conductor until ``cache_clear`` asks for another.  Only the
+    time to an answer depends on p, never the answer; a fixed p would let a
+    document list two lines that are distinct but proportional mod p, and
+    then no redraw could get past them.
     """
     start = 2**30 + int.from_bytes(os.urandom(4), "big") % 2**30
     p = (start // n + 1) * n + 1
@@ -234,32 +233,16 @@ def _residue(c, p: int, w: int) -> int | None:
     return value * pow(den, -1, p) % p
 
 
-def _exact_points(lines: Sequence[ProjLine]) -> list[set[int]]:
-    """The line set of every meet, from all C(k, 2) meets computed exactly."""
-    through: dict[ProjPoint, set[int]] = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            try:
-                p = meet(lines[i], lines[j])
-            except IdenticalLines:
-                raise DuplicateLine(f"lines {i} and {j} coincide") from None
-            through.setdefault(p, set()).add(i)
-            through[p].add(j)
-    return list(through.values())
-
-
-def _points_mod_p(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[int]] | None:
+def _points_mod_p(rows: Sequence[tuple], p: int, w: int) -> list[set[int]] | None:
     """
-    The line set of every meet, from the meets' images in F_p, each cluster
-    of three or more lines confirmed exactly; None when that fails.
+    The line set of every meet of the lines with coordinates ``rows``, from
+    the meets' images in F_p, each cluster of three or more lines confirmed
+    exactly; None when p cannot decide.  Raises DuplicateLine for the first
+    pair of equal lines.
 
-    ``rows`` holds one coordinate triple per line, any multiple of it:
-    small written rows keep the exact confirmation cheap.
+    A row may be any multiple of its line's triple: small written rows keep
+    the exact steps cheap.
     """
-    conductors = {c.n for row in rows for c in row if isinstance(c, CycloNumber)}
-    if len(conductors) > 1:
-        return None
-    p, w = _field_map(conductors.pop() if conductors else 1)
     images = []
     for row in rows:
         image = [_residue(c, p, w) for c in row]
@@ -278,7 +261,7 @@ def _points_mod_p(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[
                 key = (0, 1, z * pow(y, -1, p) % p)
             elif z:
                 key = (0, 0, 1)
-            elif lines[i] == lines[j]:  # the first equal pair, as the exact path finds it
+            elif not any(_cross(rows[i], rows[j])):
                 raise DuplicateLine(f"lines {i} and {j} coincide")
             else:  # distinct lines, proportional mod p
                 return None
@@ -301,10 +284,42 @@ def _points_mod_p(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[
     return list(through.values())
 
 
-def _realised_points(lines: Sequence[ProjLine], rows: Sequence[tuple]) -> list[set[int]]:
-    """The line set of every meet of ``lines``, whose coordinates are ``rows`` up to scaling."""
-    points = _points_mod_p(lines, rows)
-    return _exact_points(lines) if points is None else points
+def _realised_points(rows: Sequence[tuple]) -> list[set[int]]:
+    """
+    The line set of every meet of the lines with coordinates ``rows``, up to
+    scaling.
+
+    A prime p fails only when it divides a denominator or the norm of one
+    of finitely many nonzero numbers fixed by the rows: a coordinate of a
+    distinct pair's cross product, or a dot product that shows a cluster
+    is not concurrent.  So drawing another prime after each failure ends,
+    and the answer never depends on p.
+    """
+    conductors = sorted({c.n for row in rows for c in row if isinstance(c, CycloNumber)})
+    if len(conductors) > 1:
+        raise ConductorMismatch(f"mixed conductors {conductors[0]} and {conductors[1]}")
+    while True:
+        points = _points_mod_p(rows, *_field_map(conductors[0] if conductors else 1))
+        if points is not None:
+            return points
+        _field_map.cache_clear()
+
+
+def _check_realised(arr: Arrangement, rows: list) -> None:
+    """
+    Raise ArrangementError unless the coordinate lines, written as ``rows``,
+    meet in exactly the listed points.
+    """
+    try:
+        realised = set(map(frozenset, _realised_points(rows)))
+    except GeometryError as exc:
+        raise ArrangementError(f"coordinates: {exc}") from None
+    if set(arr.point_lines) != realised:
+        # Both pass validate_arrangement, so some listed point is not realised.
+        pid = next(p for p, fs in enumerate(arr.point_lines) if fs not in realised)
+        raise ArrangementError(
+            f"coordinates do not realise point {pid}: no meet of the coordinate lines lies on exactly its lines"
+        )
 
 
 def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
@@ -319,18 +334,17 @@ def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
     but never split one: a two-line cluster is one point, and a larger one
     is one point exactly when one exact cross product of two of its lines
     is orthogonal to each further line.  When a denominator is a multiple
-    of p, the lines mix conductors, two distinct lines are proportional mod
-    p or a cluster is not concurrent, every meet is computed exactly and
-    normalised instead; that path raises ConductorMismatch for mixed
-    conductors.  Equal lines raise DuplicateLine.  Points are ordered by
-    their sorted line-id signature, which is deterministic and independent
-    of the field.  The produced arrangement carries the input lines as
-    coordinate metadata.
+    of p, two distinct lines are proportional mod p or a cluster is not
+    concurrent, another prime is drawn.  Equal lines raise DuplicateLine,
+    naming the first equal pair (i, j) in lexicographic order, and mixed
+    conductors raise ConductorMismatch.  Points are ordered by their sorted
+    line-id signature, which is deterministic and independent of the field.
+    The produced arrangement carries the input lines as coordinate metadata.
     """
     lines = list(lines)
     if len(lines) < 2:
         raise GeometryError("need at least two lines")
-    points = _realised_points(lines, [line.coords for line in lines])
+    points = _realised_points([line.coords for line in lines])
     return Arrangement(len(lines), sorted(points, key=sorted), coordinates=lines)
 
 

@@ -1,4 +1,4 @@
-"""Certified longest induced cycles of the Ceva and supersolvable families.
+"""Certified longest induced cycles of the Ceva, supersolvable and A(w, k) families.
 
 Each value is the exhaustive answer of ``longest_cycle`` (the cycle has
 length 2i): every longer length was proved absent, and the witness found
@@ -9,19 +9,22 @@ oracle's vertex cap, so nothing else in the suite freezes them.
 import pytest
 
 from levicycles import families
-from levicycles.cycles import FOUND, longest_cycle, validate_witness
+from levicycles.cycles import FOUND, InducedCycleWitness, longest_cycle, validate_witness
+from levicycles.projective import arrangement_from_lines, incident, meet
 
 ATLAS = [
     *[(f"ceva({n})", lambda n=n: families.ceva(n), i) for n, i in zip(range(3, 8), (6, 8, 11, 13, 16))],
     *[(f"supersolvable_mu3({m})", lambda m=m: families.supersolvable_mu3(m), i)
       for m, i in zip(range(4, 10), (6, 9, 12, 14, 18, 21))],
+    *[(f"a_w_k(8,{k})", lambda k=k: families.a_w_k(8, k), i) for k, i in zip(range(5), (14, 14, 16, 16, 17))],
 ]
-# These take about 4, 25 and 45 s (2-core x86-64 VM, Python 3.11), so they
-# run only under ``-m slow``.
+# These take about 4, 25, 45 and 3 s (2-core x86-64 VM, Python 3.11), so
+# they run only under ``-m slow``.
 SLOW_ATLAS = [
     ("ceva(8)", lambda: families.ceva(8), 19),
     ("ceva(9)", lambda: families.ceva(9), 22),
     ("supersolvable_mu3(10)", lambda: families.supersolvable_mu3(10), 23),
+    ("a_w_k(9,4)", lambda: families.a_w_k(9, 4), 19),
 ]
 
 
@@ -36,3 +39,22 @@ def test_certified_longest_cycle(name, make, i):
     assert (res.status, res.i) == (FOUND, i), name
     assert len(res.witness.lines) == i
     assert validate_witness(arr, res.witness).passed
+
+
+def test_a_w_k_8_4_witness_holds_in_the_exact_coordinates():
+    # The 34-cycle that refutes the claimed maximum 4m = 32 of A(w, k) at
+    # m = 8, k = 4, read in the arrangement that the exact coordinate lines
+    # realise: lines keep their ids there, points are matched by their lines.
+    arr = families.a_w_k(8, 4)
+    witness = longest_cycle(arr).witness
+    lines = families.a_w_k_coordinate_lines(8, 4)
+    rebuilt = arrangement_from_lines(lines)
+    assert set(rebuilt.point_lines) == set(arr.point_lines)
+    ids = {fs: p for p, fs in enumerate(rebuilt.point_lines)}
+    moved = InducedCycleWitness(witness.lines, tuple(ids[arr.point_lines[p]] for p in witness.points))
+    assert len(moved.lines) == 17 and validate_witness(rebuilt, moved).passed
+    # Each meet of neighbouring cycle lines lies on no other cycle line.
+    for t, here in enumerate(witness.lines):
+        after = witness.lines[(t + 1) % 17]
+        point = meet(lines[here], lines[after])
+        assert {j for j in witness.lines if incident(point, lines[j])} == {here, after}

@@ -269,9 +269,15 @@ def test_awk_max_claims():
     assert verify_named_claim("awk-max", {"m": 6, "k": 2}).verdict == CONFIRMED
     out_of_range = verify_named_claim("awk-max", {"m": 5, "k": 2})
     assert out_of_range.verdict == NOT_APPLICABLE
-    guarded = verify_named_claim("awk-max", {"m": 8, "k": 2})
-    assert guarded.verdict == VERDICT_UNKNOWN
-    assert any("search guard" in n for n in guarded.notes)
+    # a_w_k(8, 2) has longest induced cycle length 32 = 4m, and a_w_k(8, 4)
+    # one of length 34, which refutes the claimed maximum 4m.
+    assert verify_named_claim("awk-max", {"m": 8, "k": 2}).verdict == CONFIRMED
+    refuted = verify_named_claim("awk-max", {"m": 8, "k": 4})
+    assert refuted.verdict == REFUTED
+    assert any("exhaustive longest induced cycle length is 34, claimed 32" in n for n in refuted.notes)
+    [witness] = refuted.witnesses
+    assert len(witness.lines) == 17
+    assert validate_witness(families.a_w_k(8, 4), witness).passed
 
 
 def test_named_claim_errors():

@@ -292,6 +292,18 @@ def test_repeated_coordinate_row_exits_without_a_traceback(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, "", "error: coordinates: lines 2 and 5 coincide\n")
 
 
+def test_row_that_is_a_multiple_of_another_is_named(tmp_path, capsys):
+    # Rows equal only up to scaling have proportional images mod p, and one
+    # exact cross product shows that their lines coincide.
+    doc = json.loads(arrangement_to_json(arrangement_from_lines(families.mu4_coordinate_lines())))
+    rows = doc["coordinates"]["lines"]
+    rows[1], rows[4] = ["1", "2", "3"], ["2", "4", "6"]
+    path = tmp_path / "multiple.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["stats", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: coordinates: lines 1 and 4 coincide\n")
+
+
 def test_missing_file(capsys):
     assert run(["stats", "/nonexistent/thing.json"]) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
@@ -686,9 +698,9 @@ def test_verify_named_claim_with_params(files, capsys):
     assert "requires parameter 'n'" in capsys.readouterr().err
 
 
-def test_verify_guarded_claim_is_unknown(files, capsys):
-    code = run(["verify", files["mu4"], "--claim", "awk-max", "--m", "8", "--k", "2"])
-    assert code == EXIT_UNKNOWN
+def test_verify_awk_max_at_m_8_is_decided(files, capsys):
+    assert run(["verify", files["mu4"], "--claim", "awk-max", "--m", "8", "--k", "2"]) == EXIT_OK
+    assert run(["verify", "--claim", "awk-max", "--m", "8", "--k", "4"]) == EXIT_REFUTED
 
 
 def test_verify_unknown_claim(files, capsys):
@@ -795,7 +807,7 @@ GOLDEN_CLI = {
     "verify --claim mu3-range --m 5 --format json": "68eaeca04c006ca6",
     "verify --claim awk-max --m 5 --k 1": "b63d4990fb171cee",
     "verify --claim awk-max --m 6 --k 2 --chosen 0,2": "bfb3cd3ba20b691f",
-    "verify --claim awk-max --m 8 --k 2": "603c1993f60c6e0e",
+    "verify --claim awk-max --m 8 --k 2": "a7fdb7beeb26af57",
     "oracle-check mu4": "d8f11b8b3d7c2295",
     "oracle-check cyclic_nine_three": "5d3607b7593ed0ab",
     "oracle-check generic3": "e02a361483433f7d",

@@ -3,6 +3,7 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -313,16 +314,23 @@ def test_payload_writer_refuses_what_the_reader_refuses():
         coordinates_from_payload({"field": {"type": "rational"}, "lines": [["1", "1" + "0" * 5000, "0"]]}, 1)
 
 
-# -- the realisation routine: meets clustered mod p, confirmed exactly, with
-# the exact path as fallback
-
-
-_exact_points = projective._exact_points  # the fallback, kept from the patches below
+# -- the realisation routine: meets clustered mod p and confirmed exactly,
+# with another prime drawn whenever p cannot decide
 
 
 def _exact(lines):
-    """Point line sets from every meet computed exactly, in signature order."""
-    return tuple(frozenset(fs) for fs in sorted(_exact_points(list(lines)), key=sorted))
+    """
+    Point line sets from every meet computed exactly with ``meet``, in
+    signature order; the first equal pair (i, j) raises DuplicateLine.
+    """
+    through = {}
+    for i, j in combinations(range(len(lines)), 2):
+        try:
+            point = meet(lines[i], lines[j])
+        except IdenticalLines:
+            raise DuplicateLine(f"lines {i} and {j} coincide") from None
+        through.setdefault(point, set()).update((i, j))
+    return tuple(frozenset(fs) for fs in sorted(through.values(), key=sorted))
 
 
 def _quiet(build, *args):
@@ -361,7 +369,7 @@ def _conductor_sets(n):
 @pytest.mark.parametrize("n", range(2, MAX_CONDUCTOR + 1))
 def test_clustered_meets_at_every_conductor(n):
     # The round-trip sets of test_coordinate_families_round_trip_at_every_conductor.
-    # The exact path costs 35 s over all of them, so here it checks the
+    # The exact reference costs 35 s over all of them, so here it checks the
     # conductors up to 10 and the closed-form builders check every one.
     for lines, build, args in _conductor_sets(n):
         points = arrangement_from_lines(lines).point_lines
@@ -394,12 +402,22 @@ def test_clustered_meets_match_the_exact_path_on_forced_concurrencies(centres, f
     assert arrangement_from_lines(lines).point_lines == _exact(lines)
 
 
-def _small_prime(monkeypatch):
-    """Force p = 11, with 3 a primitive 5th root of unity mod 11, and count the exact path's calls."""
-    monkeypatch.setattr(projective, "_field_map", lambda n: {1: (11, 1), 5: (11, 3)}[n])
-    calls = []
-    monkeypatch.setattr(projective, "_exact_points", lambda lines: calls.append(len(lines)) or _exact_points(lines))
-    return calls
+def _small_prime_first(monkeypatch):
+    """
+    Make the first prime drawn p = 11, with 3 a primitive 5th root of unity
+    mod 11, and every later one a fresh random prime; return the primes drawn.
+    """
+    draw, drawn, current = projective._field_map.__wrapped__, [], {}
+
+    def field_map(n):
+        if n not in current:
+            current[n] = draw(n) if drawn else {1: (11, 1), 5: (11, 3)}[n]
+            drawn.append(current[n][0])
+        return current[n]
+
+    field_map.cache_clear = current.clear
+    monkeypatch.setattr(projective, "_field_map", field_map)
+    return drawn
 
 
 @pytest.mark.parametrize(
@@ -411,50 +429,54 @@ def _small_prime(monkeypatch):
 )
 def test_a_small_prime_gives_the_exact_answer(monkeypatch, lines):
     expected = _exact(lines)
-    calls = _small_prime(monkeypatch)
+    drawn = _small_prime_first(monkeypatch)
     assert arrangement_from_lines(lines).point_lines == expected
-    assert len(calls) <= 1
+    assert drawn[0] == 11 and len(drawn) <= 2
 
 
-def test_a_small_prime_confirms_or_falls_back(monkeypatch):
-    calls = _small_prime(monkeypatch)
+def test_a_small_prime_confirms_or_draws_again(monkeypatch):
+    drawn = _small_prime_first(monkeypatch)
     # Three concurrent lines: one cluster of three, confirmed exactly.
     assert arrangement_from_lines([X, Y, ProjLine((1, 1, 0))]).point_lines == (frozenset({0, 1, 2}),)
-    assert calls == []
-    # Distinct but proportional mod 11.
-    lines = [X, ProjLine((1, 11, 0)), Z]
-    assert arrangement_from_lines(lines).point_lines == _exact(lines)
-    assert calls == [3]
-    # A denominator that 11 divides.
-    lines = [X, ProjLine((1, Fraction(1, 11), 1)), Z]
-    assert arrangement_from_lines(lines).point_lines == _exact(lines)
-    assert calls == [3, 3]
-    # No two of these lines are proportional mod 11, but their meets (0:1:0),
-    # (0:-1:11) and (-11:1:0) are all (0:1:0) mod 11: a cluster of three
-    # lines that are not concurrent, which confirmation refuses.
-    lines = [X, Z, ProjLine((1, 11, 1))]
-    assert arrangement_from_lines(lines).point_lines == _exact(lines)
-    assert _exact(lines) == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
-    assert calls == [3, 3, 3]
+    assert drawn == [11]
+    for lines in (
+        # Distinct but proportional mod 11.
+        [X, ProjLine((1, 11, 0)), Z],
+        # A denominator that 11 divides.
+        [X, ProjLine((1, Fraction(1, 11), 1)), Z],
+        # No two of these lines are proportional mod 11, but their meets
+        # (0:1:0), (0:-1:11) and (-11:1:0) are all (0:1:0) mod 11: a cluster
+        # of three lines that are not concurrent, which confirmation refuses.
+        [X, Z, ProjLine((1, 11, 1))],
+    ):
+        expected = _exact(lines)
+        assert expected == (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+        monkeypatch.undo()
+        drawn = _small_prime_first(monkeypatch)
+        assert arrangement_from_lines(lines).point_lines == expected
+        assert drawn[0] == 11 and len(drawn) == 2 and drawn[1] > 2**30
 
 
 def test_equal_lines_are_named_as_the_exact_path_names_them(monkeypatch):
     e = CycloNumber.root(5)
-    for lines in ([X, Y, Z, ProjLine((2, 0, 0)), ProjLine((0, 3, 0))],
-                  [ProjLine((1, e, 0)), Z, ProjLine((1, e, 0)), ProjLine((1, e * e, 1))]):
+    for lines, draws in (([X, Y, Z, ProjLine((2, 0, 0)), ProjLine((0, 3, 0))], 1),
+                         ([ProjLine((1, e, 0)), Z, ProjLine((1, e, 0)), ProjLine((1, e * e, 1))], 1),
+                         # Lines 0 and 1 are proportional mod 11, so the equal
+                         # pair (0, 3) is named after a second draw.
+                         ([X, ProjLine((1, 11, 0)), Z, ProjLine((2, 0, 0))], 2)):
         with pytest.raises(DuplicateLine) as exact:
-            _exact_points(lines)
-        calls = _small_prime(monkeypatch)
+            _exact(lines)
+        drawn = _small_prime_first(monkeypatch)
         with pytest.raises(DuplicateLine) as clustered:
             arrangement_from_lines(lines)
         assert str(clustered.value) == str(exact.value)
-        assert calls == []
+        assert len(drawn) == draws
         monkeypatch.undo()
 
 
-def test_mixed_conductors_take_the_exact_path():
+def test_mixed_conductors_raise_conductor_mismatch():
     lines = [ProjLine((1, CycloNumber.root(5), 0)), Z, ProjLine((1, CycloNumber.root(7), 0))]
-    with pytest.raises(ConductorMismatch):
+    with pytest.raises(ConductorMismatch, match="mixed conductors 5 and 7"):
         arrangement_from_lines(lines)
 
 
