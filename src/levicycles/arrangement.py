@@ -423,11 +423,11 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
     for key in ("line_names", "point_names"):
         if not isinstance(doc.get(key, []), list):
             raise ArrangementError(f"'{key}' must be a list")
-    coordinates = rows = None
+    coordinates = None
     if "coordinates" in doc:
-        from .projective import _check_realised, _read_payload
+        from .projective import _check_realised, coordinates_from_payload
 
-        coordinates, rows = _read_payload(doc["coordinates"], k)
+        coordinates = coordinates_from_payload(doc["coordinates"], k)
     arr = Arrangement(
         k,
         [by_id[i] for i in range(len(entries))],
@@ -439,7 +439,7 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
         report = validate_arrangement(arr)
         if not report.passed:
             raise ArrangementError("invalid arrangement: " + "; ".join(report.failures[:5]))
-        if rows is not None:
-            _check_realised(arr, rows)
+        if coordinates is not None:
+            _check_realised(arr)
     return arr
 

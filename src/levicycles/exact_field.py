@@ -9,10 +9,10 @@ Phi_n, which is monic with integer coefficients, so the one polynomial
 division, :func:`_divmod`, never divides a coefficient.  The inverse of a is
 the product of its other Galois conjugates divided by the rational norm of
 a (H. Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
-Springer 1993).  Its coefficients have about phi(n) times the digits of a's;
-the extended Euclid over Q that it replaces grew its intermediate
-coefficients far past that.  All equality and zero tests are exact; nothing
-here ever touches floating point.
+Springer 1993), one product per conjugate, with coefficients of about phi(n)
+times the digits of a's.  Loading coordinates and finding their meets call
+no inverse: they work on the rows as written.  All equality and zero tests
+are exact; nothing here ever touches floating point.
 
 Scalars travel as text in one grammar for both fields (:func:`format_scalar`
 writes it, :func:`parse_scalar` reads it): a signed sum of terms ``a``,
@@ -118,40 +118,6 @@ def _conjugate(n: int, a: Sequence[int], k: int) -> list[int]:
         if x:
             image[i * k % n] += x
     return _divmod(image, cyclotomic_polynomial(n))[1]
-
-
-@lru_cache(maxsize=None)
-def _galois_steps(n: int) -> tuple[tuple[int, int], ...]:
-    """
-    Pairs (g, r) that build the unit group (Z/n)^*, the Galois group of
-    Q(e): each g has order r over the subgroup H that the pairs before it
-    generate, so the cosets g^j H, 0 <= j < r, make the next subgroup.
-
-    The inverse walks these pairs with :func:`_orbit_product`: 12 field
-    products at conductor 31 instead of 29 one conjugate at a time.  The
-    costliest 256-line documents within projective's scalar bounds are read
-    in about 1.1 s this way and took 3.2 s the direct way (2-core x86-64
-    VM, Python 3.11), past the 2 s their tests allow.
-    """
-    group, steps = {1 % n}, []
-    for g in range(2, n):
-        if gcd(g, n) == 1 and g not in group:
-            r, power = 1, g
-            while power not in group:
-                r, power = r + 1, power * g % n
-            group = {h * pow(g, j, n) % n for h in group for j in range(r)}
-            steps.append((g, r))
-    return tuple(steps)
-
-
-def _orbit_product(n: int, t: list[int], g: int, m: int) -> list[int]:
-    """prod s_{g^j}(t) over 0 <= j < m, in about 2 log2(m) products."""
-    if m == 1:
-        return t
-    if m % 2:
-        return _mul_mod(n, t, _conjugate(n, _orbit_product(n, t, g, m - 1), g))
-    half = _orbit_product(n, t, g, m // 2)
-    return _mul_mod(n, half, _conjugate(n, half, pow(g, m // 2, n)))
 
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -320,14 +286,12 @@ class CycloNumber:
             inv = [0] * len(num)
             inv[0] = den if num[0] > 0 else -den
             return _cyclo(n, inv, abs(num[0]))
-        # The integer part A = d * a suffices: a^-1 = d * A^-1.  Over the
-        # subgroup H built so far, ``others`` is the product of s_h(A) for
-        # h != 1 and ``total`` = A * others; a step (g, r) multiplies both by
-        # the conjugates of ``total`` under g^j, 0 < j < r.
-        others, total = [1], list(num)
-        for g, r in _galois_steps(n):
-            step = _conjugate(n, _orbit_product(n, total, g, r - 1), g)
-            others, total = _mul_mod(n, others, step), _mul_mod(n, total, step)
+        # The integer part A = d * a suffices: a^-1 = d * A^-1.
+        others = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                others = _mul_mod(n, others, _conjugate(n, num, k))
+        total = _mul_mod(n, num, others)
         # For n > 2 the conjugates come in complex-conjugate pairs, so the
         # norm of a nonzero element is a positive rational.
         norm = total[0]

@@ -1,9 +1,13 @@
 """Exact projective points and lines over Q or a cyclotomic field.
 
 Points and lines live in P^2 with homogeneous coordinates drawn from one
-field per object (all-rational or all one conductor); the canonical
-representative scales the first nonzero coordinate to 1, which turns
-projective equality into plain tuple comparison.
+field per object (all-rational or all one conductor).  Each keeps the
+triple it was built from, its row, and two are equal when their rows are
+proportional, which one exact cross product decides.  The canonical
+representative ``coords``, which scales the first nonzero coordinate to 1,
+costs a field inverse, so it is built only when it is read, hashed or
+printed.  Coordinate documents carry the rows as written, so reading,
+checking and writing them inverts nothing.
 
 :func:`arrangement_from_lines` finds the singular points of a line list
 without normalising each meet, which costs a field inverse.  It clusters
@@ -49,21 +53,19 @@ __all__ = [
 # memory superlinear in n, and every field operation grows with deg Phi_n.
 MAX_CONDUCTOR = 32
 
-# Bounds on a cyclotomic coordinate scalar in a document; rational scalars
-# are one term and cost nothing to invert.  A line's canonical form inverts
-# its lead entry, and the inverse of a over Q(e) has about phi(n) times the
-# digits of a written as integers over their least common denominator.
-# MAX_COEFFICIENT_DIGITS bounds those integers, which drive that cost, and
-# MAX_SCALAR_CHARS bounds the parse, which could otherwise sum any number
-# of terms.  The written form of any value within MAX_COEFFICIENT_DIGITS has
-# at most phi(n) <= 30 terms such as "-a/b*e^29" of at most 33 characters,
-# so every such value fits in MAX_SCALAR_CHARS.  The costliest documents
-# within these bounds, 256 lines whose entries have thirty 13-digit
-# numerators over one 13-digit denominator at conductor 31, are answered in
-# about 1.1 s (2-core x86-64 VM, Python 3.11), whether the rows realise the
-# listed points or not; one row takes about 4 ms to read, and the check
-# that the rows meet in the listed points, run on the rows as written, adds
-# about 0.1 s to a 255-fold point.
+# Bounds on a cyclotomic coordinate scalar in a document; a rational scalar
+# is one term.  The loader keeps each row as written and multiplies rows in
+# its exact checks, whose cost grows with the digits of a scalar written as
+# integers over their least common denominator.  MAX_COEFFICIENT_DIGITS
+# bounds those integers, and MAX_SCALAR_CHARS bounds the parse, which could
+# otherwise sum any number of terms.  The written form of any value within
+# MAX_COEFFICIENT_DIGITS has at most phi(n) <= 30 terms such as "-a/b*e^29"
+# of at most 33 characters, so every such value fits in MAX_SCALAR_CHARS.
+# 256 lines whose entries have thirty 13-digit numerators over one 13-digit
+# denominator at conductor 31 are answered in about 0.5 s (2-core x86-64
+# VM, Python 3.11), whether the rows realise the listed points or not; one
+# row takes about 1 ms to read, and the check that the rows meet in the
+# listed points adds about 0.15 s to a 255-fold point.
 MAX_COEFFICIENT_DIGITS = 13
 MAX_SCALAR_CHARS = 1024
 
@@ -84,8 +86,16 @@ class DuplicateLine(GeometryError):
     pass
 
 
-def _normalize_triple(coords) -> tuple:
-    """Validate a homogeneous triple (uniform field) and canonicalize it."""
+def _conductor(row) -> int | None:
+    """The conductor of a checked row's field, None over Q."""
+    return row[0].n if isinstance(row[0], CycloNumber) else None
+
+
+def _check_triple(coords) -> tuple:
+    """
+    Validate a homogeneous triple: three entries, one field, not all zero.
+    Returns it with every entry in that field (Fractions over Q).
+    """
     if len(coords) != 3:
         raise GeometryError(f"need 3 homogeneous coordinates, got {len(coords)}")
     conductor = None
@@ -98,33 +108,43 @@ def _normalize_triple(coords) -> tuple:
         elif not isinstance(c, (int, Fraction)):
             raise GeometryError(f"unsupported coordinate type {type(c).__name__}")
     if conductor is None:
-        vals = [Fraction(c) for c in coords]
+        row = tuple(Fraction(c) for c in coords)
     else:
-        vals = [c if isinstance(c, CycloNumber) else CycloNumber.from_rational(conductor, c) for c in coords]
-    lead = next((v for v in vals if v), None)
-    if lead is None:
+        row = tuple(c if isinstance(c, CycloNumber) else CycloNumber.from_rational(conductor, c) for c in coords)
+    if not any(row):
         raise GeometryError("all three homogeneous coordinates are zero")
-    inv = 1 / lead if conductor is None else lead.inverse()
-    return tuple(v * inv for v in vals)
+    return row
 
 
 class _Homogeneous:
-    __slots__ = ("coords",)
+    """A point or line, kept as its row; equal to another when the rows are proportional."""
+
+    __slots__ = ("_row",)
 
     def __init__(self, coords) -> None:
-        object.__setattr__(self, "coords", _normalize_triple(tuple(coords)))
+        object.__setattr__(self, "_row", _check_triple(tuple(coords)))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # copy and pickle would restore the slots through __setattr__.
-        return type(self), (self.coords,)
+        return type(self), (self._row,)
+
+    @property
+    def coords(self) -> tuple:
+        """The canonical form: the row scaled so that its first nonzero entry is 1."""
+        lead = next(v for v in self._row if v)
+        inv = lead.inverse() if isinstance(lead, CycloNumber) else 1 / lead
+        return tuple(v * inv for v in self._row)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.coords == other.coords
+        a, b = _conductor(self._row), _conductor(other._row)
+        if a is not None and b is not None and a != b:
+            return False
+        return not any(_cross(self._row, other._row))
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.coords))
@@ -135,7 +155,7 @@ class _Homogeneous:
 
 
 class ProjPoint(_Homogeneous):
-    """Point of P^2 in canonical form (first nonzero coordinate = 1)."""
+    """Point of P^2; ``coords`` has its first nonzero coordinate 1."""
 
 
 class ProjLine(_Homogeneous):
@@ -152,7 +172,7 @@ def _cross(u, v) -> tuple:
 
 def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines (coordinate cross product)."""
-    raw = _cross(l1.coords, l2.coords)
+    raw = _cross(l1._row, l2._row)
     if not any(raw):
         raise IdenticalLines(f"{l1!r} and {l2!r} are the same projective line")
     return ProjPoint(raw)
@@ -160,7 +180,7 @@ def meet(l1: ProjLine, l2: ProjLine) -> ProjPoint:
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
     """The unique line through two distinct points (dual cross product)."""
-    raw = _cross(p1.coords, p2.coords)
+    raw = _cross(p1._row, p2._row)
     if not any(raw):
         raise IdenticalPoints(f"{p1!r} and {p2!r} are the same projective point")
     return ProjLine(raw)
@@ -168,8 +188,8 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
 
 def incident(p: ProjPoint, l: ProjLine) -> bool:
     """Exact incidence test: a*x + b*y + c*z = 0."""
-    total = p.coords[0] * l.coords[0] + p.coords[1] * l.coords[1] + p.coords[2] * l.coords[2]
-    return not total
+    (x, y, z), (a, b, c) = p._row, l._row
+    return not (a * x + b * y + c * z)
 
 
 def _is_prime(m: int) -> bool:
@@ -305,13 +325,10 @@ def _realised_points(rows: Sequence[tuple]) -> list[set[int]]:
         _field_map.cache_clear()
 
 
-def _check_realised(arr: Arrangement, rows: list) -> None:
-    """
-    Raise ArrangementError unless the coordinate lines, written as ``rows``,
-    meet in exactly the listed points.
-    """
+def _check_realised(arr: Arrangement) -> None:
+    """Raise ArrangementError unless the coordinate lines meet in exactly the listed points."""
     try:
-        realised = set(map(frozenset, _realised_points(rows)))
+        realised = set(map(frozenset, _realised_points([line._row for line in arr.coordinates])))
     except GeometryError as exc:
         raise ArrangementError(f"coordinates: {exc}") from None
     if set(arr.point_lines) != realised:
@@ -344,7 +361,7 @@ def arrangement_from_lines(lines: Sequence[ProjLine]) -> Arrangement:
     lines = list(lines)
     if len(lines) < 2:
         raise GeometryError("need at least two lines")
-    points = _realised_points([line.coords for line in lines])
+    points = _realised_points([line._row for line in lines])
     return Arrangement(len(lines), sorted(points, key=sorted), coordinates=lines)
 
 
@@ -368,22 +385,23 @@ def coordinates_to_payload(lines) -> dict:
     The JSON payload of coordinate lines, which
     :func:`coordinates_from_payload` reads back.
 
-    One field descriptor covers every row, so rational rows may join
-    cyclotomic ones of one conductor.  Raises ArrangementError for a row
-    over another conductor, which would read back as another line, and for
-    a line with a scalar that :func:`coordinates_from_payload` would
-    refuse, so nothing is written that cannot be read as it was.
+    Each line is written as the row it was built from.  One field
+    descriptor covers every row, so rational rows may join cyclotomic ones
+    of one conductor.  Raises ArrangementError for a row over another
+    conductor, which would read back as another line, and for a row with a
+    scalar that :func:`coordinates_from_payload` would refuse, so nothing
+    is written that cannot be read as it was.
     """
-    conductor = next((c.n for line in lines for c in line.coords if isinstance(c, CycloNumber)), None)
+    conductor = next(filter(None, (_conductor(line._row) for line in lines)), None)
     rows = []
     for j, line in enumerate(lines):
-        n = line.coords[0].n if isinstance(line.coords[0], CycloNumber) else conductor  # one field per line
+        n = _conductor(line._row) or conductor
         if n != conductor:
             raise ArrangementError(f"coordinate row {j}: conductor {n}, but an earlier row has conductor {conductor}")
-        if conductor is not None and max(map(_height, line.coords)) >= 10**MAX_COEFFICIENT_DIGITS:
+        if conductor is not None and max(map(_height, line._row)) >= 10**MAX_COEFFICIENT_DIGITS:
             raise ArrangementError(f"coordinate row {j}: {_TOO_HIGH}")
         try:
-            rows.append([format_scalar(c) for c in line.coords])
+            rows.append([format_scalar(c) for c in line._row])
         except ValueError as exc:  # a rational past Python's int-to-string digit limit
             raise ArrangementError(f"coordinate row {j}: {exc}") from None
     return {
@@ -392,13 +410,8 @@ def coordinates_to_payload(lines) -> dict:
     }
 
 
-def coordinates_from_payload(payload, k: int):
+def coordinates_from_payload(payload, k: int) -> list[ProjLine]:
     """The lines of a coordinate payload, as :func:`coordinates_to_payload` writes it."""
-    return _read_payload(payload, k)[0]
-
-
-def _read_payload(payload, k: int) -> tuple[list[ProjLine], list[tuple]]:
-    """The lines of a coordinate payload and the scalar rows as written."""
     if not isinstance(payload, dict) or "field" not in payload or "lines" not in payload:
         raise ArrangementError("coordinate payload needs 'field' and 'lines'")
     field = payload["field"]
@@ -416,7 +429,7 @@ def _read_payload(payload, k: int) -> tuple[list[ProjLine], list[tuple]]:
         raise ArrangementError("coordinate 'lines' must be a list")
     if len(rows) != k:
         raise ArrangementError(f"coordinate payload has {len(rows)} lines, arrangement has {k}")
-    lines, written = [], []
+    lines = []
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3 or not all(isinstance(t, str) for t in row):
             raise ArrangementError(f"coordinate row {j}: need a list of 3 scalar strings")
@@ -429,5 +442,4 @@ def _read_payload(payload, k: int) -> tuple[list[ProjLine], list[tuple]]:
             lines.append(ProjLine(scalars))
         except (ValueError, ZeroDivisionError) as exc:  # GeometryError is a ValueError
             raise ArrangementError(f"coordinate row {j}: {exc}") from None
-        written.append(scalars)
-    return lines, written
+    return lines

@@ -17,14 +17,18 @@ ATLAS = [
     *[(f"supersolvable_mu3({m})", lambda m=m: families.supersolvable_mu3(m), i)
       for m, i in zip(range(4, 10), (6, 9, 12, 14, 18, 21))],
     *[(f"a_w_k(8,{k})", lambda k=k: families.a_w_k(8, k), i) for k, i in zip(range(5), (14, 14, 16, 16, 17))],
+    *[(f"a_w_k({m},{k})", lambda m=m, k=k: families.a_w_k(m, k), i)
+      for m, k, i in ((9, 0, 16), (9, 2, 18), (9, 5, 20), (10, 0, 18), (10, 2, 20))],
 ]
-# These take about 4, 25, 45 and 3 s (2-core x86-64 VM, Python 3.11), so
-# they run only under ``-m slow``.
+# These take about 4, 25, 45, 3, 23 and 15 s (2-core x86-64 VM, Python
+# 3.11), so they run only under ``-m slow``.
 SLOW_ATLAS = [
     ("ceva(8)", lambda: families.ceva(8), 19),
     ("ceva(9)", lambda: families.ceva(9), 22),
     ("supersolvable_mu3(10)", lambda: families.supersolvable_mu3(10), 23),
     ("a_w_k(9,4)", lambda: families.a_w_k(9, 4), 19),
+    ("a_w_k(9,1)", lambda: families.a_w_k(9, 1), 16),
+    ("a_w_k(9,3)", lambda: families.a_w_k(9, 3), 18),
 ]
 
 

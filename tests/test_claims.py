@@ -4,7 +4,7 @@ import time
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import Arrangement, ArrangementError
+from levicycles.arrangement import Arrangement, ArrangementError, modular_points, subarrangement
 from levicycles.claims import (
     CHECKERS,
     CONFIRMED,
@@ -24,6 +24,9 @@ from levicycles.claims import (
 )
 from levicycles.cycles import validate_witness
 from levicycles.families import BadParam
+from levicycles.levi import build_levi
+from levicycles.oracle import oracle_induced_cycle_lengths
+from levicycles.projective import arrangement_from_lines
 
 
 def pencil():
@@ -219,6 +222,24 @@ def test_no_2k_refuted_on_triangle():
     assert report.verdict == REFUTED
     assert report.witnesses[0].length == 6
     assert validate_witness(arr, report.witnesses[0]).passed
+
+
+def test_no_2k_refuted_on_a_realisable_subarrangement_of_mu3_6():
+    # Twelve of the fifteen lines of supersolvable_mu3(6) keep a modular
+    # point of multiplicity 6, yet pass through an induced cycle of length
+    # 2k = 24.  The exact coordinate rows of those lines meet in the same
+    # points, so this is a complex line arrangement, not only a table.
+    keep = (0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 14)
+    arr = subarrangement(families.supersolvable_mu3(6), keep)
+    assert (arr.k, arr.s) == (12, 26)
+    rows = families.supersolvable_mu3_coordinate_lines(6)
+    assert set(arrangement_from_lines([rows[j] for j in keep]).point_lines) == set(arr.point_lines)
+    assert modular_points(arr) == {14} and arr.multiplicity(14) == 6
+    report = verify_no_2k_supersolvable(arr)
+    assert (report.verdict, report.nodes) == (REFUTED, 26)
+    [witness] = report.witnesses
+    assert witness.length == 24 and validate_witness(arr, witness).passed
+    assert 24 in oracle_induced_cycle_lengths(build_levi(arr).to_networkx())
 
 
 # -- named worked-result claims

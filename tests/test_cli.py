@@ -219,11 +219,10 @@ def _costly_rows(count):
     """
     ``count`` rows over Q(e), e^31 = 1, the largest degree under
     MAX_CONDUCTOR, whose every entry has thirty numerators over one
-    denominator, all of MAX_COEFFICIENT_DIGITS digits: the costliest rows a
-    sweep of conductors, term counts and denominators found within the
-    limits.  The lead entry's inverse has about 30 times their digits.  Row
-    j is (A_j, A_j - D, A_j - 2D) with A_j = A_0 - 3jD, so every row is a
-    line through (1:-2:1).
+    denominator, all of MAX_COEFFICIENT_DIGITS digits: every entry has as
+    many terms and digits as the limits allow.  Row j is
+    (A_j, A_j - D, A_j - 2D) with A_j = A_0 - 3jD, so every row is a line
+    through (1:-2:1).
     """
     top = 10**MAX_COEFFICIENT_DIGITS - 1
     rows = [
@@ -250,7 +249,7 @@ def _best_of_three(argv, capsys, code):
 def test_costliest_document_within_the_scalar_limits_loads_quickly(tmp_path, capsys):
     # 256 costly rows listed as near_pencil(256).  The rows are all
     # concurrent, so they contradict the listed points and the document is
-    # refused.  About 1.4 s a run on a 2-core x86-64 VM; the bound holds
+    # refused.  About 0.5 s a run on a 2-core x86-64 VM; the bound holds
     # for the best of up to three runs, which keeps a busy host's stalls
     # out of it.
     doc = json.loads(arrangement_to_json(families.near_pencil(256)))

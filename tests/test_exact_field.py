@@ -394,6 +394,10 @@ def test_differential_projline_canonical_form_matches_reference(case):
     expected = _ref_canonical(n, [_ref_reduce(n, t) for t in triple])
     assert tuple(c.coeffs for c in line.coords) == expected
     assert [format_scalar(c) for c in line.coords] == [_ref_format(c) for c in expected]
+    # A multiple of the row is the same line, with the same hash; 3 - e + e^3
+    # is nonzero at every conductor, since |e| = 1.
+    scaled = ProjLine(tuple(CycloNumber(n, t) * CycloNumber(n, [3, -1, 0, 1]) for t in triple))
+    assert scaled == line and hash(scaled) == hash(line) and scaled.coords == line.coords
 
 
 @pytest.mark.parametrize("n", range(1, 33))

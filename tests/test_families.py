@@ -301,7 +301,7 @@ JSON_GOLDEN = {
     "a_w_k": "07a488277df02badfd45c79e55b28e7be90af16c6240e02a007d668a7e2af1a6",
     "ceva_coordinate_lines": "871688b3210395bf868d4ab2cc261e8645cd3e6f477c5cfb28e81781c166919f",
     "mu4_coordinate_lines": "ab64bdce6c586ca3dfe9b8f71ee88892d7305c22dea51041679e2d917e4af443",
-    "nine_three_coordinate_lines": "4371859c7c0e4db6a23c7e52a70433c09ea5f257100e2c4fef1531b1133b6ec8",
+    "nine_three_coordinate_lines": "df6a547b2ffb8966ed6a271c93e8b6a253ea7a8abcb2d0523a4c7b2d18e7cd2e",
     "supersolvable_mu3_coordinate_lines": "1c196678726db8cd59e94732bbc8522005a3b1e2502f932ea2f7f3c98cb03e20",
     "a_w_k_coordinate_lines": "9f0326b432a254687baa943ac9a3731bc51de71bbd4ac9d92353884dfab8ef3a",
 }

@@ -46,6 +46,8 @@ def test_normalization_makes_scalings_equal():
     assert ProjPoint((0, 0, 5)) == ProjPoint((0, 0, 1))
     assert ProjPoint((2, 4, 6)).coords == (1, Fraction(2), Fraction(3))
     assert ProjLine((Fraction(1, 2), 0, 1)) == ProjLine((1, 0, 2))
+    assert hash(ProjLine((Fraction(1, 2), 0, 1))) == hash(ProjLine((1, 0, 2)))
+    assert ProjLine((1, 0, 2)) != ProjLine((1, 1, 2))
 
 
 def test_normalization_over_cyclotomic_field():
@@ -68,6 +70,8 @@ def test_bad_coordinates_rejected(coords):
 def test_mixed_conductors_rejected():
     with pytest.raises(ConductorMismatch):
         ProjPoint((CycloNumber.root(3), CycloNumber.root(4), CycloNumber.one(3)))
+    # Lines over two conductors are never equal, rational values included.
+    assert ProjLine((CycloNumber.one(5), 0, 0)) != ProjLine((CycloNumber.one(7), 0, 0))
 
 
 def test_points_and_lines_are_distinct_types():
@@ -148,10 +152,11 @@ def test_point_order_is_line_signature_order():
 
 
 def test_rational_payload_roundtrip():
-    lines = [X, Y, Z, ProjLine((1, Fraction(-2, 3), 1))]
+    lines = [X, Y, Z, ProjLine((1, Fraction(-2, 3), 1)), ProjLine((3, 0, 1))]
     payload = coordinates_to_payload(lines)
     assert payload["field"] == {"type": "rational"}
-    assert coordinates_from_payload(payload, 4) == lines
+    assert payload["lines"][4] == ["3", "0", "1"]  # as written, not scaled to (1, 0, 1/3)
+    assert coordinates_from_payload(payload, 5) == lines
 
 
 def test_cyclotomic_payload_roundtrip():
@@ -248,8 +253,9 @@ def test_coordinate_families_round_trip_at_every_conductor():
 
 def test_dense_conductor_31_row_loads_quickly():
     # Thirty 10-digit coefficients at conductor 31, the largest degree under
-    # MAX_CONDUCTOR: inverting the lead entry by extended Euclid over Q took
-    # 1.1 s, against about 4 ms as the product of its Galois conjugates.
+    # MAX_CONDUCTOR.  Reading keeps the row as written and inverts nothing;
+    # the canonical form, whose lead entry's inverse has about 30 times
+    # their digits, is built only when ``coords`` is read.
     rng = random.Random(31)
     lead = "+".join(f"{rng.randrange(10**9, 10**10)}*e^{i}" for i in range(30))
     row = [lead, "1-e", "e^3"]
@@ -267,6 +273,21 @@ def test_arrangement_json_carries_coordinates():
     assert back.coordinates == arr.coordinates
 
 
+def test_small_rows_with_a_wide_canonical_form_round_trip():
+    # The canonical form of a*x + y + z divides by a, and 1/a has integers
+    # far past MAX_COEFFICIENT_DIGITS digits; the document carries the rows
+    # as written, whose integers have one digit.
+    one, zero = CycloNumber.one(31), CycloNumber.zero(31)
+    a = CycloNumber(31, [(-1) ** i * (i % 9 + 1) for i in range(30)])
+    arr = arrangement_from_lines([ProjLine((one, zero, zero)), ProjLine((zero, one, zero)),
+                                  ProjLine((zero, zero, one)), ProjLine((a, one, one))])
+    assert max(map(projective._height, arr.coordinates[3].coords)) >= 10**MAX_COEFFICIENT_DIGITS
+    text = arrangement_to_json(arr)
+    back = arrangement_from_json(text)
+    assert back == arr and back.coordinates == arr.coordinates
+    assert arrangement_to_json(back) == text
+
+
 def test_payload_writer_refuses_mixed_conductors():
     # Rows over conductors 5 and 7 were both written as conductor 5, with
     # the same strings, and read back as two equal lines without an error.
@@ -282,9 +303,8 @@ def test_payload_writer_refuses_mixed_conductors():
 
 
 def test_payload_writer_refuses_what_the_reader_refuses():
-    # A line built in Python can have canonical entries the reader refuses:
-    # here 1/a has integers of thousands of digits, and writing it raised a
-    # bare ValueError from Python's int-to-string digit limit.
+    # A line built in Python can have entries the reader refuses: here a
+    # has two 200-digit integers.
     rng = random.Random(31)
     a = CycloNumber(31, [rng.randrange(10**199, 10**200) for _ in range(2)])
     huge = ProjLine((a, 1, 0))
