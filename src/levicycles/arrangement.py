@@ -368,13 +368,6 @@ def relabeled(arr: Arrangement, line_perm: Sequence[int], point_perm: Sequence[i
     )
 
 
-def _coordinate_payload(arr: Arrangement):
-    # Local import: the projective module depends on this one.
-    from .projective import coordinates_to_payload
-
-    return coordinates_to_payload(arr.coordinates)
-
-
 def arrangement_to_json(arr: Arrangement, indent: int | None = None) -> str:
     """Serialize to the interchange format (sorted line lists, stable order)."""
     doc: dict = {
@@ -386,7 +379,9 @@ def arrangement_to_json(arr: Arrangement, indent: int | None = None) -> str:
     if arr.point_names is not None:
         doc["point_names"] = list(arr.point_names)
     if arr.coordinates is not None:
-        doc["coordinates"] = _coordinate_payload(arr)
+        from .projective import coordinates_to_payload  # projective imports this module
+
+        doc["coordinates"] = coordinates_to_payload(arr.coordinates)
     return json.dumps(doc, indent=indent)
 
 

@@ -67,13 +67,8 @@ def _family_params(args, keys: tuple[str, ...]) -> dict:
     params = {}
     for key in keys:
         value = getattr(args, key)
-        if value is None:
-            continue
-        # Every family has at least as many lines as each of its parameters,
-        # so a larger value only builds a document that no command loads.
-        if value > MAX_LINES:
-            raise ArrangementError(f"--{key} needs a value <= {MAX_LINES}, got {value}")
-        params[key] = value
+        if value is not None:
+            params[key] = value
     chosen = _parse_chosen(args.chosen)
     if chosen is not None:
         params["chosen"] = chosen
@@ -204,11 +199,7 @@ def _cmd_oracle_check(args) -> int:
     arr = _load(args.file)
     edges = [(f"x{p}", f"y{j}") for p, j in build_levi(arr).edges]
     oracle_lengths = oracle_induced_cycle_lengths(edges)
-    sp = spectrum(arr)
-    if any(r.status == UNKNOWN for r in sp.results.values()):
-        print("unknown: solver budget exhausted", file=sys.stderr)
-        return EXIT_UNKNOWN
-    solver_lengths = {2 * i for i in sp.found}
+    solver_lengths = {2 * i for i in spectrum(arr).found}
     print("solver lengths: " + (", ".join(map(str, sorted(solver_lengths))) or "none"))
     print("oracle lengths: " + (", ".join(map(str, sorted(oracle_lengths))) or "none"))
     if solver_lengths == oracle_lengths:
@@ -303,7 +294,7 @@ def run(argv=None) -> int:
         # rest of the output goes to devnull, so the final flush is quiet too.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ArrangementError, TooLarge, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ArrangementError, TooLarge, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

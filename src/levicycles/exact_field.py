@@ -41,7 +41,6 @@ __all__ = [
     "ConductorMismatch",
     "cyclotomic_polynomial",
     "CycloNumber",
-    "cyclo_arith",
     "parse_scalar",
     "format_scalar",
 ]
@@ -336,19 +335,6 @@ class CycloNumber:
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-def cyclo_arith(a: CycloNumber, b: CycloNumber, op: str) -> CycloNumber:
-    """Dispatch add/sub/mul/div on two same-conductor cyclotomic numbers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}; expected add, sub, mul or div")
 
 
 # ---------------------------------------------------------------------------

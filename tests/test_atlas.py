@@ -2,14 +2,18 @@
 
 Each value is the exhaustive answer of ``longest_cycle`` (the cycle has
 length 2i): every longer length was proved absent, and the witness found
-at i is checked by ``validate_witness``.  All of them lie above the
-oracle's vertex cap, so nothing else in the suite freezes them.
+at i is checked by ``validate_witness``.  Where the Levi graph has at
+most the oracle's 40 vertices, the brute-force oracle must find the same
+longest length; every other value lies above that cap, so nothing else in
+the suite freezes it.
 """
 
 import pytest
 
 from levicycles import families
 from levicycles.cycles import FOUND, InducedCycleWitness, longest_cycle, validate_witness
+from levicycles.levi import build_levi
+from levicycles.oracle import DEFAULT_VERTEX_CAP, oracle_longest_induced_cycle
 from levicycles.projective import arrangement_from_lines, incident, meet
 
 ATLAS = [
@@ -18,9 +22,12 @@ ATLAS = [
       for m, i in zip(range(4, 10), (6, 9, 12, 14, 18, 21))],
     *[(f"a_w_k(8,{k})", lambda k=k: families.a_w_k(8, k), i) for k, i in zip(range(5), (14, 14, 16, 16, 17))],
     *[(f"a_w_k({m},{k})", lambda m=m, k=k: families.a_w_k(m, k), i)
-      for m, k, i in ((9, 0, 16), (9, 2, 18), (9, 5, 20), (10, 0, 18), (10, 2, 20))],
+      for m, k, i in ((5, 2, 9), (6, 0, 10), (6, 1, 10), (6, 2, 12), (6, 3, 12),
+                      (7, 0, 12), (7, 1, 12), (7, 2, 14), (7, 3, 14), (7, 4, 14), (8, 5, 18),
+                      (9, 0, 16), (9, 2, 18), (9, 5, 20), (9, 6, 21),
+                      (10, 0, 18), (10, 2, 20), (10, 6, 23), (11, 0, 20), (11, 2, 22))],
 ]
-# These take about 4, 25, 45, 3, 23 and 15 s (2-core x86-64 VM, Python
+# These take about 4, 25, 45, 3, 23, 15 and 4 s (2-core x86-64 VM, Python
 # 3.11), so they run only under ``-m slow``.
 SLOW_ATLAS = [
     ("ceva(8)", lambda: families.ceva(8), 19),
@@ -29,6 +36,7 @@ SLOW_ATLAS = [
     ("a_w_k(9,4)", lambda: families.a_w_k(9, 4), 19),
     ("a_w_k(9,1)", lambda: families.a_w_k(9, 1), 16),
     ("a_w_k(9,3)", lambda: families.a_w_k(9, 3), 18),
+    ("a_w_k(10,7)", lambda: families.a_w_k(10, 7), 23),
 ]
 
 
@@ -43,6 +51,8 @@ def test_certified_longest_cycle(name, make, i):
     assert (res.status, res.i) == (FOUND, i), name
     assert len(res.witness.lines) == i
     assert validate_witness(arr, res.witness).passed
+    if arr.k + arr.s <= DEFAULT_VERTEX_CAP:
+        assert oracle_longest_induced_cycle(build_levi(arr).to_networkx()) == 2 * i
 
 
 def test_a_w_k_8_4_witness_holds_in_the_exact_coordinates():

@@ -4,7 +4,13 @@ import time
 import pytest
 
 from levicycles import families
-from levicycles.arrangement import Arrangement, ArrangementError, modular_points, subarrangement
+from levicycles.arrangement import (
+    Arrangement,
+    ArrangementError,
+    modular_points,
+    multiplicity_profile,
+    subarrangement,
+)
 from levicycles.claims import (
     CHECKERS,
     CONFIRMED,
@@ -151,6 +157,30 @@ def test_c10_refuted_when_cases_disagree():
     assert validate_witness(arr, report.witnesses[0]).passed
 
 
+def test_c10_refuted_at_k_2q_on_a_realisable_subarrangement_of_mu3_7():
+    # Ten of the eighteen lines of supersolvable_mu3(7): k = 10 = 2q with
+    # q = 5 and t_5 = 2.  At k = 2q the side condition of case (i'),
+    # t_{k-q} != 0, reads t_q != 0 and always holds, so (i') and (iii)
+    # both apply at each 5-fold point, and they disagree.  The solver
+    # finds the 10-cycle that (i') predicts, refuting (iii) as encoded.
+    # The exact coordinate rows of these lines meet in the same points.
+    keep = (1, 7, 8, 9, 10, 11, 12, 13, 16, 17)
+    arr = subarrangement(families.supersolvable_mu3(7), keep)
+    assert (arr.k, arr.s) == (10, 23)
+    assert multiplicity_profile(arr).t == {2: 19, 3: 2, 5: 2}
+    rows = families.supersolvable_mu3_coordinate_lines(7)
+    assert set(arrangement_from_lines([rows[j] for j in keep]).point_lines) == set(arr.point_lines)
+    report = verify_c10(arr)
+    assert (report.verdict, report.nodes) == (REFUTED, 4)
+    for p in (16, 17):
+        assert arr.multiplicity(p) == 5
+        assert f"point {p} case (i'): predicted 10-cycle exists; solver says exists" in report.notes
+        assert f"point {p} case (iii): predicted 10-cycle does not exist; solver says exists" in report.notes
+    [witness] = report.witnesses
+    assert witness.length == 10 and validate_witness(arr, witness).passed
+    assert 10 in oracle_induced_cycle_lengths(build_levi(arr).to_networkx())
+
+
 # -- t3 / tq bounds
 
 
@@ -171,6 +201,9 @@ def test_t3_bounds_even_branch_with_stacked_doubles():
 def test_t3_bounds_not_applicable():
     assert verify_t3_bounds(families.hesse()).verdict == NOT_APPLICABLE
     assert verify_t3_bounds(families.generic(5)).verdict == NOT_APPLICABLE
+    lone = verify_t3_bounds(Arrangement(1, []))
+    assert lone.verdict == NOT_APPLICABLE
+    assert [h.evidence for h in lone.hypotheses] == ["t_3 = 0", "no intersection points"]
 
 
 def test_tq_bounds_part_one_only():
@@ -413,6 +446,11 @@ def test_no_2k_notes_name_the_deciding_search():
     confirmed = verify_no_2k_supersolvable(families.near_pencil(5))
     assert confirmed.verdict == CONFIRMED
     assert confirmed.notes == ("exhaustive search found no induced cycle of length 10",)
+    # Two lines through their one point: the point is modular, and no
+    # search runs, since a cycle through both lines is shorter than 6.
+    short = verify_no_2k_supersolvable(Arrangement(2, [{0, 1}]))
+    assert (short.verdict, short.nodes) == (CONFIRMED, 0)
+    assert short.notes == ("k = 2 < 3: a 2k-cycle is shorter than the girth",)
 
 
 def test_named_claims_order():

@@ -105,7 +105,7 @@ def test_family_parameter_above_line_limit_is_usage_error(tmp_path, capsys, argv
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "<= 256" in captured.err
+    assert captured.err.startswith("error: ") and "exceeds the limit of 256" in captured.err
     assert not out.exists()
 
 
@@ -541,6 +541,14 @@ def test_levi_requires_format_flag(files, capsys):
 def test_cycles_longest_text(files, capsys):
     assert run(["cycles", files["cyclic_nine_three"], "--longest"]) == EXIT_OK
     assert capsys.readouterr().out == "longest induced cycle: length 18 (9 lines)\n"
+
+
+def test_cycles_longest_text_without_a_cycle(tmp_path, capsys):
+    # Three lines through one point: the Levi graph is a star.
+    pencil = tmp_path / "pencil.json"
+    pencil.write_text('{"k": 3, "points": [{"id": 0, "lines": [0, 1, 2]}]}', encoding="utf-8")
+    assert run(["cycles", str(pencil), "--longest"]) == EXIT_OK
+    assert capsys.readouterr().out == "no induced cycle\n"
 
 
 def test_cycles_longest_witness(files, capsys):

@@ -153,6 +153,12 @@ def test_validate_distinctness_failure():
     bad = InducedCycleWitness(good.lines[:3] + good.lines[:1], good.points)
     report = validate_witness(arr, bad)
     assert not report.checks["distinctness"]
+    assert "distinctness: repeated line" in report.failures
+    bad = InducedCycleWitness(good.lines, good.points[:3] + good.points[:1])
+    report = validate_witness(arr, bad)
+    assert not report.checks["distinctness"]
+    assert "distinctness: repeated point" in report.failures
+    assert "distinctness: repeated line" not in report.failures
 
 
 def test_validate_adjacency_failure():

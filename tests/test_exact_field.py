@@ -10,7 +10,6 @@ from levicycles.exact_field import (
     CycloNumber,
     _cyclo,
     _mul_mod,
-    cyclo_arith,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -144,17 +143,6 @@ def test_immutable():
     eps = CycloNumber.root(4)
     with pytest.raises(AttributeError):
         eps.coeffs = (Fraction(0), Fraction(0))
-
-
-def test_cyclo_arith_dispatch():
-    a = CycloNumber.root(5)
-    b = CycloNumber.from_rational(5, 2)
-    assert cyclo_arith(a, b, "add") == a + 2
-    assert cyclo_arith(a, b, "sub") == a - 2
-    assert cyclo_arith(a, b, "mul") == a * 2
-    assert cyclo_arith(a, b, "div") == a / 2
-    with pytest.raises(ValueError):
-        cyclo_arith(a, b, "pow")
 
 
 def test_format_rational():

@@ -90,6 +90,7 @@ def test_line_counts():
         (families.supersolvable_mu3, (3,), "supersolvable_mu3 needs m >= 4"),
         (families.a_w_k, (4, 0), "a_w_k needs m >= 5"),
         (families.a_w_k, (5, 3), "0 <= k <= m-3 = 2"),
+        (families.supersolvable_mu3_coordinate_lines, (3,), "supersolvable_mu3 needs m >= 4"),
     ],
 )
 def test_builder_param_errors(fn, args, message):

@@ -177,6 +177,7 @@ def test_cyclotomic_payload_roundtrip():
         ({"field": {"type": "cyclotomic", "conductor": 0}, "lines": []}, 0),
         ({"field": {"type": "rational"}, "lines": [["1", "0", "0"]]}, 2),
         ({"field": {"type": "rational"}, "lines": [["1", "0"]]}, 1),
+        ({"field": {"type": "rational"}, "lines": 5}, 0),
     ],
 )
 def test_payload_errors(payload, k):
