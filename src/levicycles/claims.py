@@ -453,12 +453,18 @@ def verify_named_claim(
     Check one named worked-result claim.
 
     ``ceva-range`` needs ``n``; ``mu3-range`` needs ``m``; ``awk-max``
-    needs ``m`` and ``k`` (and accepts ``chosen``).  The range claims test
-    existence for every claimed length; the longest claims compare the
-    exhaustive maximum against the claimed value.
+    needs ``m`` and ``k`` (and accepts ``chosen``); the longest claims take
+    none, and any parameter a claim does not take raises ``BadParam``.  The
+    range claims test existence for every claimed length; the longest
+    claims compare the exhaustive maximum against the claimed value.
     """
     params = dict(params or {})
     session = _Session(claim, budget)
+
+    def takes(*keys: str) -> None:
+        for key in params:
+            if key not in keys:
+                raise families.BadParam(f"claim {claim!r} does not take parameter {key!r}")
 
     def need(key: str) -> int:
         if key not in params:
@@ -466,11 +472,13 @@ def verify_named_claim(
         return params[key]
 
     if claim in _LONGEST_CLAIMS:
+        takes()
         builder, claimed = _LONGEST_CLAIMS[claim]
         return _longest_claim(session, (), getattr(families, builder)(), claimed)
 
     if claim in _RANGE_CLAIMS:
         key, builder, top = _RANGE_CLAIMS[claim]
+        takes(key)
         value = need(key)
         arr = getattr(families, builder)(value)
         top_i = top(value)
@@ -478,6 +486,7 @@ def verify_named_claim(
         return _lengths_claim(session, (), arr, range(4, top_i + 1), (claim_note,))
 
     if claim == "awk-max":
+        takes("m", "k", "chosen")
         m = need("m")
         k = need("k")
         arr = families.a_w_k(m, k, params.get("chosen"))

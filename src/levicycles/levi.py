@@ -1,4 +1,4 @@
-"""Levi graphs of arrangements, the edge-subdivision transform, and exports.
+"""Levi graphs of arrangements, their girth, the edge-subdivision transform, and exports.
 
 The Levi graph has one vertex per singular point (``x0..x{s-1}``) and one per
 line (``y0..y{k-1}``), joined exactly when the point lies on the line.  Since
@@ -6,6 +6,10 @@ two lines of an arrangement share at most one point, Levi graphs contain no
 4-cycle, so their girth is at least 6.  An induced cycle necessarily
 alternates between the two sides and therefore has even length 2i, visiting i
 points and i lines.
+
+``Arrangement`` validates the incidences and already holds the graph as
+``point_lines``/``line_points``; ``LeviGraph`` is only the (s, k, edges)
+record that the exports and ``girth`` read.
 """
 
 from __future__ import annotations
@@ -13,104 +17,37 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from typing import NamedTuple
 
-from .arrangement import MAX_LINES, Arrangement, ArrangementError, _is_index, _load_json
+from .arrangement import Arrangement
 
 __all__ = [
     "LeviGraph",
     "build_levi",
-    "recover_arrangement",
     "girth",
     "subdivide",
     "export_dot",
     "export_json",
-    "levi_from_json",
 ]
 
 
-class LeviGraph:
+class LeviGraph(NamedTuple):
     """
-    Immutable bipartite incidence graph of an arrangement.
+    The Levi graph of an arrangement with s points and k lines.
 
-    ``point_adj[p]`` is the set of line ids through point p, ``line_adj[j]``
-    the set of point ids on line j; ``edges`` lists (point, line) pairs in
-    sorted order.  Vertex identity is index-based, so exports and witnesses
-    are stable across runs.
+    ``edges`` lists the (point, line) incidences in sorted order.  Vertex
+    identity is index-based, so exports and witnesses are stable across runs.
     """
 
-    __slots__ = ("s", "k", "edges", "point_adj", "line_adj")
-
-    def __init__(self, s: int, k: int, edges) -> None:
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "k", k)
-        pa: list[set[int]] = [set() for _ in range(s)]
-        la: list[set[int]] = [set() for _ in range(k)]
-        seen = set()
-        for p, j in edges:
-            if not _is_index(p, s):
-                raise ArrangementError(f"edge references unknown point {p!r}")
-            if not _is_index(j, k):
-                raise ArrangementError(f"edge references unknown line {j!r}")
-            if (p, j) in seen:
-                raise ArrangementError(f"duplicate edge ({p}, {j})")
-            seen.add((p, j))
-            pa[p].add(j)
-            la[j].add(p)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(self, "point_adj", tuple(frozenset(x) for x in pa))
-        object.__setattr__(self, "line_adj", tuple(frozenset(x) for x in la))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("LeviGraph is immutable")
-
-    def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__.
-        return LeviGraph, (self.s, self.k, self.edges)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.s + self.k
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LeviGraph):
-            return NotImplemented
-        return (self.s, self.k, self.edges) == (other.s, other.k, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.k, self.edges))
-
-    def __repr__(self) -> str:
-        return f"LeviGraph(s={self.s}, k={self.k}, edges={self.n_edges})"
-
-    def to_networkx(self):
-        """
-        networkx graph with nodes 'x<i>' (points) and 'y<j>' (lines).
-
-        networkx is imported here, not at module level: it is a test-time
-        dependency only.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from((f"x{p}" for p in range(self.s)), bipartite=0)
-        g.add_nodes_from((f"y{j}" for j in range(self.k)), bipartite=1)
-        g.add_edges_from((f"x{p}", f"y{j}") for p, j in self.edges)
-        return g
+    s: int
+    k: int
+    edges: tuple[tuple[int, int], ...]
 
 
 def build_levi(arr: Arrangement) -> LeviGraph:
     """Levi graph of an arrangement; |E| = sum of point multiplicities."""
-    edges = [(p, j) for p, fs in enumerate(arr.point_lines) for j in fs]
+    edges = tuple((p, j) for p, fs in enumerate(arr.point_lines) for j in sorted(fs))
     return LeviGraph(arr.s, arr.k, edges)
-
-
-def recover_arrangement(g: LeviGraph) -> Arrangement:
-    """Rebuild the incidence structure from line-vertex neighborhoods."""
-    return Arrangement(g.k, [sorted(fs) for fs in g.point_adj])
 
 
 def girth(g: LeviGraph) -> float:
@@ -122,7 +59,10 @@ def girth(g: LeviGraph) -> float:
     the root lies on a shortest cycle; every cycle closed from u is at least
     2 * depth[u] long, so a search stops once that reaches the best found.
     """
-    adj = [[g.s + j for j in js] for js in g.point_adj] + [list(ps) for ps in g.line_adj]
+    adj: list[list[int]] = [[] for _ in range(g.s + g.k)]
+    for p, j in g.edges:
+        adj[p].append(g.s + j)
+        adj[g.s + j].append(p)
     best = math.inf
     for root in range(len(adj)):
         depth = {root: 0}
@@ -186,20 +126,6 @@ def export_dot(g: LeviGraph) -> str:
 
 
 def export_json(g: LeviGraph, indent: int | None = None) -> str:
-    """JSON mirror of the structure; round-trips through levi_from_json."""
+    """The record as a JSON object with keys s, k and edges (a list of [point, line] pairs)."""
     doc = {"s": g.s, "k": g.k, "edges": [[p, j] for p, j in g.edges]}
     return json.dumps(doc, indent=indent)
-
-
-def levi_from_json(text: str) -> LeviGraph:
-    """Parse export_json output; rejects malformed documents and unknown vertices."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict) or not {"s", "k", "edges"} <= set(doc):
-        raise ArrangementError("document must be an object with 's', 'k', 'edges'")
-    s, k, edges = doc["s"], doc["k"], doc["edges"]
-    # A valid arrangement of at most MAX_LINES lines has at most C(MAX_LINES, 2) points.
-    if not _is_index(k, MAX_LINES + 1) or not _is_index(s, math.comb(MAX_LINES, 2) + 1):
-        raise ArrangementError(f"'s' and 'k' must be integers in 0..{math.comb(MAX_LINES, 2)} and 0..{MAX_LINES}")
-    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-        raise ArrangementError("'edges' must be a list of [point, line] pairs")
-    return LeviGraph(s, k, [tuple(e) for e in edges])

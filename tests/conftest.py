@@ -1,5 +1,6 @@
 import warnings
 
+import networkx as nx
 import pytest
 
 from levicycles import families
@@ -21,6 +22,15 @@ def cyclic_nine_three():
     pts = [set(x - 1 for x in fs) for fs in triples + doubles]
     return Arrangement(9, pts, line_names=[f"L{j + 1}" for j in range(9)],
                        point_names=[f"e{i + 1}" for i in range(18)])
+
+
+def levi_networkx(g):
+    """networkx graph of a LeviGraph: points 'x<p>' (bipartite 0), lines 'y<j>' (bipartite 1)."""
+    out = nx.Graph()
+    out.add_nodes_from((f"x{p}" for p in range(g.s)), bipartite=0)
+    out.add_nodes_from((f"y{j}" for j in range(g.k)), bipartite=1)
+    out.add_edges_from((f"x{p}", f"y{j}") for p, j in g.edges)
+    return out
 
 
 def build_small_pool():

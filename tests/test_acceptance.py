@@ -54,6 +54,8 @@ from levicycles import (
 from levicycles.cycles import InducedCycleWitness
 from levicycles.projective import arrangement_from_lines
 
+from conftest import levi_networkx
+
 MODULAR_FAMILY_PREFIXES = ("near_pencil", "two_modular", "mu4",
                            "supersolvable_mu3", "a_w_k")
 
@@ -81,7 +83,7 @@ def certified_found_set(arr, lo, hi):
 def oracle_found_set(arr, lo, hi):
     """The i in lo..hi with an induced 2i-cycle, by the brute-force oracle
     on the Levi graph."""
-    lengths = oracle_induced_cycle_lengths(build_levi(arr).to_networkx())
+    lengths = oracle_induced_cycle_lengths(levi_networkx(build_levi(arr)))
     return {n // 2 for n in lengths if lo <= n // 2 <= hi}
 
 
@@ -244,7 +246,7 @@ def test_criterion_10_solver_matches_oracle(small_pool):
     def longest_pair(arr):
         res = longest_cycle(arr)
         solver = 2 * res.i if res.status == FOUND else None
-        oracle = oracle_longest_induced_cycle(build_levi(arr).to_networkx())
+        oracle = oracle_longest_induced_cycle(levi_networkx(build_levi(arr)))
         return solver, oracle
 
     cases = [(name, arr) for name, arr in small_pool]

@@ -16,13 +16,15 @@ from levicycles.levi import build_levi
 from levicycles.oracle import DEFAULT_VERTEX_CAP, oracle_longest_induced_cycle
 from levicycles.projective import arrangement_from_lines, incident, meet
 
+from conftest import levi_networkx
+
 ATLAS = [
     *[(f"ceva({n})", lambda n=n: families.ceva(n), i) for n, i in zip(range(3, 8), (6, 8, 11, 13, 16))],
     *[(f"supersolvable_mu3({m})", lambda m=m: families.supersolvable_mu3(m), i)
       for m, i in zip(range(4, 10), (6, 9, 12, 14, 18, 21))],
     *[(f"a_w_k(8,{k})", lambda k=k: families.a_w_k(8, k), i) for k, i in zip(range(5), (14, 14, 16, 16, 17))],
     *[(f"a_w_k({m},{k})", lambda m=m, k=k: families.a_w_k(m, k), i)
-      for m, k, i in ((5, 2, 9), (6, 0, 10), (6, 1, 10), (6, 2, 12), (6, 3, 12),
+      for m, k, i in ((5, 0, 8), (5, 1, 8), (5, 2, 9), (6, 0, 10), (6, 1, 10), (6, 2, 12), (6, 3, 12),
                       (7, 0, 12), (7, 1, 12), (7, 2, 14), (7, 3, 14), (7, 4, 14), (8, 5, 18),
                       (9, 0, 16), (9, 2, 18), (9, 5, 20), (9, 6, 21),
                       (10, 0, 18), (10, 2, 20), (10, 6, 23), (11, 0, 20), (11, 2, 22))],
@@ -52,7 +54,7 @@ def test_certified_longest_cycle(name, make, i):
     assert len(res.witness.lines) == i
     assert validate_witness(arr, res.witness).passed
     if arr.k + arr.s <= DEFAULT_VERTEX_CAP:
-        assert oracle_longest_induced_cycle(build_levi(arr).to_networkx()) == 2 * i
+        assert oracle_longest_induced_cycle(levi_networkx(build_levi(arr))) == 2 * i
 
 
 def test_a_w_k_8_4_witness_holds_in_the_exact_coordinates():

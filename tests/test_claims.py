@@ -34,6 +34,8 @@ from levicycles.levi import build_levi
 from levicycles.oracle import oracle_induced_cycle_lengths
 from levicycles.projective import arrangement_from_lines
 
+from conftest import levi_networkx
+
 
 def pencil():
     return Arrangement(3, [(0, 1, 2)])
@@ -178,7 +180,7 @@ def test_c10_refuted_at_k_2q_on_a_realisable_subarrangement_of_mu3_7():
         assert f"point {p} case (iii): predicted 10-cycle does not exist; solver says exists" in report.notes
     [witness] = report.witnesses
     assert witness.length == 10 and validate_witness(arr, witness).passed
-    assert 10 in oracle_induced_cycle_lengths(build_levi(arr).to_networkx())
+    assert 10 in oracle_induced_cycle_lengths(levi_networkx(build_levi(arr)))
 
 
 # -- t3 / tq bounds
@@ -272,7 +274,7 @@ def test_no_2k_refuted_on_a_realisable_subarrangement_of_mu3_6():
     assert (report.verdict, report.nodes) == (REFUTED, 26)
     [witness] = report.witnesses
     assert witness.length == 24 and validate_witness(arr, witness).passed
-    assert 24 in oracle_induced_cycle_lengths(build_levi(arr).to_networkx())
+    assert 24 in oracle_induced_cycle_lengths(levi_networkx(build_levi(arr)))
 
 
 # -- named worked-result claims
@@ -341,6 +343,12 @@ def test_named_claim_errors():
         verify_named_claim("ceva-range")
     with pytest.raises(BadParam):
         verify_named_claim("awk-max", {"m": 5})
+    with pytest.raises(BadParam, match="does not take parameter 'n'"):
+        verify_named_claim("mu4-longest", {"n": 3})
+    with pytest.raises(BadParam, match="does not take parameter 'm'"):
+        verify_named_claim("ceva-range", {"n": 4, "m": 5})
+    with pytest.raises(UnknownClaim):
+        verify_named_claim("not-a-claim", {"n": 4})
     assert "awk-max" in NAMED_CLAIMS
 
 

@@ -17,7 +17,6 @@ from levicycles.families import FAMILIES
 from levicycles.arrangement import ArrangementError, arrangement_to_json
 from levicycles.claims import NAMED_CLAIMS
 from levicycles.cycles import InducedCycleWitness, exists_cycle, validate_witness
-from levicycles.levi import build_levi, export_json, levi_from_json
 from levicycles.projective import MAX_COEFFICIENT_DIGITS, MAX_CONDUCTOR, MAX_SCALAR_CHARS, arrangement_from_lines
 from levicycles.cli import CHECKERS, EXIT_BROKEN_PIPE, EXIT_OK, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE, run
 
@@ -373,39 +372,27 @@ def test_fuzz_file_surface_exits_cleanly(tmp_path_factory, data):
             assert err.getvalue().startswith("error: ")
 
 
-# The Levi and witness readers have no CLI command yet, so they are fuzzed
-# directly: random text, shaped documents, and valid ones with one key replaced.
+# The witness reader has no CLI command yet, so it is fuzzed directly:
+# random text, shaped documents, and valid ones with one key replaced.
 _NINE_THREE = cyclic_nine_three()
-_VALID_LEVI = json.loads(export_json(build_levi(_NINE_THREE)))
 _VALID_WITNESS = asdict(exists_cycle(_NINE_THREE, 9).witness)
 _id_list = st.lists(st.integers(-1, 20) | _json_value, max_size=10) | _json_value
-_levi_document = st.fixed_dictionaries(
-    {
-        "s": st.integers(-1, 20) | _json_value,
-        "k": st.integers(-1, 10) | _json_value,
-        "edges": st.lists(st.lists(st.integers(-1, 20) | _json_value, max_size=3) | _json_value, max_size=8)
-        | _json_value,
-    }
-)
 _witness_document = st.fixed_dictionaries({"lines": _id_list, "points": _id_list})
 _reader_near_miss = st.builds(
-    lambda doc, value: {**doc[0], doc[1]: value},
-    st.sampled_from([(_VALID_LEVI, key) for key in ("s", "k", "edges")]
-                    + [(_VALID_WITNESS, key) for key in ("lines", "points")]),
+    lambda key, value: {**_VALID_WITNESS, key: value},
+    st.sampled_from(["lines", "points"]),
     _json_value,
 )
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(st.text(max_size=40) | (_levi_document | _witness_document | _reader_near_miss).map(json.dumps))
+@given(st.text(max_size=40) | (_witness_document | _reader_near_miss).map(json.dumps))
 @example("[" * 100_000)
 @example(json.dumps(_VALID_WITNESS))
-def test_fuzz_levi_and_witness_readers(text):
-    # Only ArrangementError may leave a reader, a witness that loads is
+def test_fuzz_witness_reader(text):
+    # Only ArrangementError may leave the reader, a witness that loads is
     # checked by validate_witness without raising, and its canonical form
     # is either computed or refused with an ArrangementError.
-    with contextlib.suppress(ArrangementError):
-        levi_from_json(text)
     try:
         witness = InducedCycleWitness.from_json(text)
     except ArrangementError:
@@ -703,6 +690,15 @@ def test_verify_named_claim_with_params(files, capsys):
     capsys.readouterr()
     assert run(["verify", files["mu4"], "--claim", "ceva-range"]) == EXIT_USAGE
     assert "requires parameter 'n'" in capsys.readouterr().err
+
+
+def test_verify_named_claim_refuses_flags_it_does_not_take(capsys):
+    assert run(["verify", "--claim", "hesse-longest", "--n", "100000"]) == EXIT_USAGE
+    assert "error: claim 'hesse-longest' does not take parameter 'n'" in capsys.readouterr().err
+    assert run(["verify", "--claim", "ceva-range", "--n", "5", "--k", "9"]) == EXIT_USAGE
+    assert "error: claim 'ceva-range' does not take parameter 'k'" in capsys.readouterr().err
+    assert run(["verify", "--claim", "mu3-range", "--m", "5", "--chosen", "1"]) == EXIT_USAGE
+    assert "does not take parameter 'chosen'" in capsys.readouterr().err
 
 
 def test_verify_awk_max_at_m_8_is_decided(files, capsys):

@@ -411,24 +411,6 @@ def test_golden_node_counts_and_witnesses(
     assert (lr.witness.lines, lr.witness.points) == witnesses[lr.i]
 
 
-@pytest.mark.parametrize(
-    "make,expect",
-    [
-        (lambda: families.a_w_k(5, 0), 8),
-        (lambda: families.a_w_k(5, 1), 8),
-        (lambda: families.a_w_k(6, 0), 10),
-        (lambda: families.a_w_k(6, 1), 10),
-        (lambda: families.a_w_k(7, 2), 14),
-    ],
-    ids=["awk50", "awk51", "awk60", "awk61", "awk72"],
-)
-def test_longest_in_pencil_families(make, expect):
-    r = longest_cycle(make())
-    assert r.status == FOUND
-    assert r.i == expect
-    assert r.length == 2 * expect
-
-
 def test_longest_matches_spectrum(small_pool):
     for name, arr in small_pool:
         r = longest_cycle(arr)

@@ -13,6 +13,8 @@ from levicycles.oracle import (
     oracle_longest_induced_cycle,
 )
 
+from conftest import levi_networkx
+
 
 # Reference oracles: the set-based kernels the bitmask ones replaced, kept
 # so that the two can be compared on any graph.  Same vertex indexing, same
@@ -117,7 +119,7 @@ def test_induced_lengths_match_the_reference_on_the_pool(full_pool):
     checked = 0
     for name, arr in full_pool:
         if arr.k + arr.s <= DEFAULT_VERTEX_CAP:
-            g = build_levi(arr).to_networkx()
+            g = levi_networkx(build_levi(arr))
             assert oracle_induced_cycle_lengths(g) == reference_induced_cycle_lengths(g), name
             checked += 1
     assert checked == 20

@@ -12,7 +12,7 @@ from levicycles.cycles import ABSENT, FOUND, InducedCycleWitness, exists_cycle, 
 from levicycles.levi import build_levi
 from levicycles.oracle import oracle_induced_cycle_lengths
 
-from conftest import build_full_pool, cyclic_nine_three
+from conftest import build_full_pool, cyclic_nine_three, levi_networkx
 
 
 def _fresh(arr):
@@ -243,7 +243,7 @@ def _broken():
 
 def _oracle_found(arr):
     """The lengths i >= 3 with an induced 2i-cycle, by brute force on the Levi graph."""
-    return tuple(sorted(n // 2 for n in oracle_induced_cycle_lengths(build_levi(arr).to_networkx()) if n >= 6))
+    return tuple(sorted(n // 2 for n in oracle_induced_cycle_lengths(levi_networkx(build_levi(arr))) if n >= 6))
 
 
 # Nodes of each whole spectrum, a golden count of the closing rules.
