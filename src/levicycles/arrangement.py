@@ -385,14 +385,14 @@ def arrangement_to_json(arr: Arrangement, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
+def arrangement_from_json(text: str) -> Arrangement:
     """
     Parse the interchange format.
 
     Rejects malformed documents (missing keys, duplicate or gapped point ids,
-    duplicate incidences, more than :data:`MAX_LINES` lines) and, when
-    ``require_valid`` holds, any structure failing
-    :func:`validate_arrangement`.
+    duplicate incidences, more than :data:`MAX_LINES` lines), any structure
+    failing :func:`validate_arrangement`, and coordinates that do not meet
+    in exactly the listed points.
     """
     doc = _load_json(text)
     if not isinstance(doc, dict) or "k" not in doc or "points" not in doc:
@@ -430,11 +430,10 @@ def arrangement_from_json(text: str, require_valid: bool = True) -> Arrangement:
         point_names=doc.get("point_names"),
         coordinates=coordinates,
     )
-    if require_valid:
-        report = validate_arrangement(arr)
-        if not report.passed:
-            raise ArrangementError("invalid arrangement: " + "; ".join(report.failures[:5]))
-        if coordinates is not None:
-            _check_realised(arr)
+    report = validate_arrangement(arr)
+    if not report.passed:
+        raise ArrangementError("invalid arrangement: " + "; ".join(report.failures[:5]))
+    if coordinates is not None:
+        _check_realised(arr)
     return arr
 

@@ -16,6 +16,9 @@ about a set of lengths goes through one rule (:func:`_lengths_claim`):
 The longest-cycle claims compare the exhaustive maximum with the claimed
 value, and ``c10`` tests each matching case of its case analysis against one
 exhaustive answer; both degrade to ``Unknown`` when the budget runs out.
+
+A named claim (:data:`NAMED_CLAIMS`) is about one family: it takes exactly
+that family's parameters and builds it through ``families.build_family``.
 """
 
 from __future__ import annotations
@@ -426,21 +429,52 @@ def _longest_claim(session: _Session, hyps, arr: Arrangement, claimed: int, extr
     return session.report(hyps, verdict, witnesses, tuple(extra) + (note,))
 
 
-# Builders are named and looked up on ``families`` at call time, so a
-# wrapper installed on that module (a profiler, a tracer) sees the call.
-# claim id -> (builder, claimed longest induced cycle length)
-_LONGEST_CLAIMS = {
-    "nine-three-longest": ("nine_three", 14),
-    "ten-line-longest": ("ten_line", 18),
-    "hesse-longest": ("hesse", 12),
-    "mu4-longest": ("mu4", 8),
+def _longest(claimed: int):
+    """The check that the family's longest induced cycle has length ``claimed``."""
+    return lambda session, arr, params: _longest_claim(session, (), arr, claimed)
+
+
+def _range_claim(session: _Session, arr: Arrangement, top_i: int) -> ClaimReport:
+    claim_note = f"claimed: induced 2i-cycles for every 4 <= i <= {top_i}"
+    return _lengths_claim(session, (), arr, range(4, top_i + 1), (claim_note,))
+
+
+def _awk_max(session: _Session, arr: Arrangement, params: dict) -> ClaimReport:
+    """The longest induced cycle of a_w_k(m, k): 2(2m-2) for k <= 1, 4m for 2 <= k <= min(4, m-4)."""
+    m, k = params["m"], params["k"]
+    if k in (0, 1):
+        ok, evidence = True, f"k = {k} in {{0, 1}}"
+        claimed = 2 * (2 * m - 2)
+        extra = (f"claimed maximum 2(2m-2) = {claimed} for k = {k}",)
+    else:
+        ok = 2 <= k <= min(4, m - 4)
+        evidence = f"k = {k}, needs 2 <= k <= min(4, m - 4) = {min(4, m - 4)}"
+        claimed = 4 * m
+        extra = (
+            f"claimed maximum 4m = {claimed} for k = {k}",
+            "statement says maximum 4m; the proof's closing line says 2m; "
+            "the statement is what is tested",
+        )
+    hyp = Hypothesis("extra-line count covered by the maximum claim", ok, evidence)
+    if not ok:
+        return session.report((hyp,), NOT_APPLICABLE)
+    return _longest_claim(session, (hyp,), arr, claimed, extra)
+
+
+# claim id -> (family, check(session, the family's arrangement, its parameters))
+_NAMED = {
+    "nine-three-longest": ("nine_three", _longest(14)),
+    "ten-line-longest": ("ten_line", _longest(18)),
+    "hesse-longest": ("hesse", _longest(12)),
+    "mu4-longest": ("mu4", _longest(8)),
+    "ceva-range": ("ceva", lambda session, arr, p: _range_claim(session, arr, 2 * p["n"] + 1)),
+    "mu3-range": (
+        "supersolvable_mu3",
+        lambda session, arr, p: _range_claim(session, arr, 2 * p["m"] - 2),
+    ),
+    "awk-max": ("a_w_k", _awk_max),
 }
-# claim id -> (parameter, builder, top i of the claimed range 4 <= i <= top)
-_RANGE_CLAIMS = {
-    "ceva-range": ("n", "ceva", lambda n: 2 * n + 1),
-    "mu3-range": ("m", "supersolvable_mu3", lambda m: 2 * m - 2),
-}
-NAMED_CLAIMS = (*_LONGEST_CLAIMS, *_RANGE_CLAIMS, "awk-max")
+NAMED_CLAIMS = tuple(_NAMED)
 
 
 def verify_named_claim(
@@ -450,72 +484,25 @@ def verify_named_claim(
     budget: int | None = None,
 ) -> ClaimReport:
     """
-    Check one named worked-result claim.
+    Check one named worked-result claim on its family's arrangement.
 
-    ``ceva-range`` needs ``n``; ``mu3-range`` needs ``m``; ``awk-max``
-    needs ``m`` and ``k`` (and accepts ``chosen``); the longest claims take
-    none, and any parameter a claim does not take raises ``BadParam``.  The
-    range claims test existence for every claimed length; the longest
-    claims compare the exhaustive maximum against the claimed value.
+    ``params`` are the family's ``build_family`` parameters; its
+    ``BadParam`` is raised again with the claim named.  The range claims
+    test existence for every claimed length; the longest claims compare the
+    exhaustive maximum against the claimed value.
     """
+    if claim not in _NAMED:
+        raise UnknownClaim(f"unknown claim {claim!r}; known: {', '.join(NAMED_CLAIMS)}")
+    family, check = _NAMED[claim]
     params = dict(params or {})
     session = _Session(claim, budget)
-
-    def takes(*keys: str) -> None:
-        for key in params:
-            if key not in keys:
-                raise families.BadParam(f"claim {claim!r} does not take parameter {key!r}")
-
-    def need(key: str) -> int:
-        if key not in params:
-            raise families.BadParam(f"claim {claim!r} requires parameter {key!r}")
-        return params[key]
-
-    if claim in _LONGEST_CLAIMS:
-        takes()
-        builder, claimed = _LONGEST_CLAIMS[claim]
-        return _longest_claim(session, (), getattr(families, builder)(), claimed)
-
-    if claim in _RANGE_CLAIMS:
-        key, builder, top = _RANGE_CLAIMS[claim]
-        takes(key)
-        value = need(key)
-        arr = getattr(families, builder)(value)
-        top_i = top(value)
-        claim_note = f"claimed: induced 2i-cycles for every 4 <= i <= {top_i}"
-        return _lengths_claim(session, (), arr, range(4, top_i + 1), (claim_note,))
-
-    if claim == "awk-max":
-        takes("m", "k", "chosen")
-        m = need("m")
-        k = need("k")
-        arr = families.a_w_k(m, k, params.get("chosen"))
-        if k in (0, 1):
-            hyp = Hypothesis(
-                "extra-line count covered by the maximum claim",
-                True,
-                f"k = {k} in {{0, 1}}",
-            )
-            claimed = 2 * (2 * m - 2)
-            extra = (f"claimed maximum 2(2m-2) = {claimed} for k = {k}",)
-        else:
-            ok = 2 <= k <= min(4, m - 4)
-            hyp = Hypothesis(
-                "extra-line count covered by the maximum claim",
-                ok,
-                f"k = {k}, needs 2 <= k <= min(4, m - 4) = {min(4, m - 4)}",
-            )
-            if not ok:
-                return session.report((hyp,), NOT_APPLICABLE)
-            claimed = 4 * m
-            extra = (
-                f"claimed maximum 4m = {claimed} for k = {k}",
-                "statement says maximum 4m; the proof's closing line says 2m; "
-                "the statement is what is tested",
-            )
-        return _longest_claim(session, (hyp,), arr, claimed, extra)
-
-    raise UnknownClaim(f"unknown claim {claim!r}; known: {', '.join(NAMED_CLAIMS)}")
+    # Looked up on ``families`` at call time, so a wrapper installed on that
+    # module (a profiler, a tracer) sees the call.
+    try:
+        arr = families.build_family(family, **params)
+    except families.BadParam as exc:
+        raise type(exc)(f"claim {claim!r}: {exc}") from None
+    return check(session, arr, params)
 
 
 # The arrangement-level checkers by claim id, in report order.

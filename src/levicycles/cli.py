@@ -42,13 +42,11 @@ EXIT_UNKNOWN = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
-def _parse_chosen(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
+def _parse_chosen(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ArrangementError(f"--chosen expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
 
 
 def _load(path: str | None):
@@ -62,21 +60,16 @@ def _witness_line(witness) -> str:
     return f"witness lines={list(witness.lines)} points={list(witness.points)}"
 
 
-def _family_params(args, keys: tuple[str, ...]) -> dict:
-    """The family parameters given as flags, plus ``chosen`` when --chosen is."""
-    params = {}
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    chosen = _parse_chosen(args.chosen)
-    if chosen is not None:
-        params["chosen"] = chosen
-    return params
+# The family parameters that build and verify take as flags (--m, --n, ...).
+_FAMILY_FLAGS = ("m", "n", "k", "a", "b", "chosen")
+
+
+def _family_params(args) -> dict:
+    return {key: getattr(args, key) for key in _FAMILY_FLAGS if getattr(args, key) is not None}
 
 
 def _cmd_build(args) -> int:
-    arr = build_family(args.family, **_family_params(args, ("m", "n", "k", "a", "b")))
+    arr = build_family(args.family, **_family_params(args))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(arrangement_to_json(arr, indent=2))
         fh.write("\n")
@@ -172,13 +165,18 @@ def _report_doc(report, timing: bool) -> dict:
 
 def _cmd_verify(args) -> int:
     budget = args.budget
-    if args.all:
-        reports = all_checkers(_load(args.file), budget=budget)
-    elif args.claim in CHECKERS:
-        reports = [CHECKERS[args.claim](_load(args.file), budget=budget)]
-    else:
-        params = _family_params(args, ("n", "m", "k"))
+    params = _family_params(args)
+    if not args.all and args.claim not in CHECKERS:
         reports = [verify_named_claim(args.claim, params, budget=budget)]
+    elif params:
+        flags = ", ".join(f"--{key}" for key in params)
+        raise ArrangementError(
+            f"{flags}: family flags go with a named claim, not with --all or a checker id"
+        )
+    elif args.all:
+        reports = all_checkers(_load(args.file), budget=budget)
+    else:
+        reports = [CHECKERS[args.claim](_load(args.file), budget=budget)]
     if args.format == "json":
         print(json.dumps([_report_doc(r, args.timing) for r in reports], indent=2))
     else:
@@ -209,6 +207,14 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_REFUTED
 
 
+def _add_family_flags(p: argparse.ArgumentParser) -> None:
+    for key in _FAMILY_FLAGS:
+        if key == "chosen":
+            p.add_argument("--chosen", type=_parse_chosen, help="comma-separated exponents for a_w_k")
+        else:
+            p.add_argument(f"--{key}", type=int)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levicycles",
@@ -218,12 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a named family and write arrangement JSON")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--chosen", help="comma-separated exponents for a_w_k")
+    _add_family_flags(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -258,15 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument(
         "--claim",
         metavar="ID",
-        help="checker id (%s) or named claim (%s); named claims use their "
-        "own family arrangement and take --n/--m/--k/--chosen"
+        help="checker id (%s) or named claim (%s); a named claim builds its "
+        "family's arrangement and takes that family's flags, as build does"
         % (", ".join(sorted(CHECKERS)), ", ".join(NAMED_CLAIMS)),
     )
     which.add_argument("--all", action="store_true", help="run every checker on FILE")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--chosen")
+    _add_family_flags(p)
     p.add_argument("--budget", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timing", action="store_true", help="include wall-clock time")

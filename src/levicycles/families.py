@@ -290,6 +290,14 @@ def mu4() -> Arrangement:
     return _arrangement(6, points, ["Lx", "Ly", "Lz", "Lxy", "Lxz", "Lyz"])
 
 
+def _mu3_n(m: int) -> int:
+    """Check the supersolvable_mu3 parameter; return n = m - 2."""
+    if not isinstance(m, int) or m < 4:
+        raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
+    _check_line_count(3 * m - 3)
+    return m - 2
+
+
 def supersolvable_mu3(m: int) -> Arrangement:
     """
     The 3(m-1) lines of xyz(x^n - y^n)(x^n - z^n)(y^n - z^n), n = m - 2.
@@ -301,10 +309,7 @@ def supersolvable_mu3(m: int) -> Arrangement:
     (id n^2+2); then the 3n doubles Lz^XY_i, Lx^YZ_i, Ly^XZ_i (ids from
     n^2+3 in that order).  Profile: t_2 = 3(m-2), t_3 = (m-2)^2, t_m = 3.
     """
-    if not isinstance(m, int) or m < 4:
-        raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
-    _check_line_count(3 * m - 3)
-    n = m - 2
+    n = _mu3_n(m)
     lx, ly, lz = 3 * n, 3 * n + 1, 3 * n + 2
     points = _ceva_triples(n, 0, 2 * n, {j: n + j for j in range(n)})
     points["Mz"] = [*range(n), lx, ly]
@@ -392,7 +397,7 @@ FAMILIES = {
 }
 
 
-def build_family(name: str, **params) -> Arrangement:
+def build_family(name: str, /, **params) -> Arrangement:
     """Build a family by name; unknown names or parameters raise BadParam."""
     if name not in FAMILIES:
         raise BadParam(f"unknown family {name!r}; known: {', '.join(sorted(FAMILIES))}")
@@ -462,10 +467,7 @@ def nine_three_coordinate_lines():
 
 def supersolvable_mu3_coordinate_lines(m: int):
     """The ceva(m-2) lines followed by x, y, z over Q(e), in builder order."""
-    if not isinstance(m, int) or m < 4:
-        raise BadParam(f"supersolvable_mu3 needs m >= 4, got {m!r}")
-    _check_line_count(3 * m - 3)
-    n = m - 2
+    n = _mu3_n(m)
     return ceva_coordinate_lines(n) + _rows(_AXES, n)
 
 

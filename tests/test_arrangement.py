@@ -76,10 +76,10 @@ def test_constructor_rejects_bad_shape(k, points):
 
 
 def test_json_line_count_bound():
-    at_bound = arrangement_from_json(json.dumps({"k": MAX_LINES, "points": []}), require_valid=False)
+    at_bound = arrangement_from_json(arrangement_to_json(families.near_pencil(MAX_LINES)))
     assert at_bound.k == MAX_LINES
     with pytest.raises(ArrangementError, match="exceeds"):
-        arrangement_from_json(json.dumps({"k": MAX_LINES + 1, "points": []}), require_valid=False)
+        arrangement_from_json(json.dumps({"k": MAX_LINES + 1, "points": []}))
 
 
 def test_constructor_rejects_bad_names():
@@ -232,20 +232,13 @@ def test_json_preserves_names():
         '{"k": 3, "points": [{"id": 0}]}',
         '{"k": 3, "points": [{"id": 0, "lines": [0, 1]}, {"id": 0, "lines": [1, 2]}]}',
         '{"k": 3, "points": [{"id": 1, "lines": [0, 1]}]}',
+        # structurally fine, but lines 0 and 1 never meet
+        '{"k": 3, "points": [{"id": 0, "lines": [0, 2]}, {"id": 1, "lines": [1, 2]}]}',
     ],
 )
 def test_json_rejects_malformed(text):
     with pytest.raises(ArrangementError):
         arrangement_from_json(text)
-
-
-def test_json_require_valid():
-    # structurally fine, but lines 0 and 1 never meet
-    text = '{"k": 3, "points": [{"id": 0, "lines": [0, 2]}, {"id": 1, "lines": [1, 2]}]}'
-    with pytest.raises(ArrangementError):
-        arrangement_from_json(text)
-    arr = arrangement_from_json(text, require_valid=False)
-    assert not validate_arrangement(arr).passed
 
 
 

@@ -336,6 +336,40 @@ def test_awk_max_claims():
     assert validate_witness(families.a_w_k(8, 4), witness).passed
 
 
+# Each named claim's family and a valid set of its parameters.
+NAMED_FAMILIES = {
+    "nine-three-longest": ("nine_three", {}),
+    "ten-line-longest": ("ten_line", {}),
+    "hesse-longest": ("hesse", {}),
+    "mu4-longest": ("mu4", {}),
+    "ceva-range": ("ceva", {"n": 5}),
+    "mu3-range": ("supersolvable_mu3", {"m": 6}),
+    "awk-max": ("a_w_k", {"m": 6, "k": 2}),
+}
+FAMILY_PARAMETERS = sorted({key for _, keys in families.FAMILIES.values() for key in keys})
+
+
+@pytest.mark.parametrize("claim", NAMED_CLAIMS)
+def test_named_claim_takes_exactly_its_family_parameters(claim):
+    family, params = NAMED_FAMILIES[claim]
+    assert set(params) <= set(families.FAMILIES[family][1])
+    for stray in FAMILY_PARAMETERS:
+        if stray in families.FAMILIES[family][1]:
+            continue
+        message = f"^claim '{claim}': family '{family}' does not take parameter '{stray}'$"
+        with pytest.raises(BadParam, match=message):
+            verify_named_claim(claim, {**params, stray: 1})
+    for missing in params:
+        rest = {key: value for key, value in params.items() if key != missing}
+        with pytest.raises(BadParam, match=f"^claim '{claim}': family '{family}' needs parameters: "):
+            verify_named_claim(claim, rest)
+
+
+def test_named_claim_keeps_the_family_error_type():
+    with pytest.raises(families.ExponentOutOfRange, match="^claim 'awk-max': exponent 9 outside 0..3$"):
+        verify_named_claim("awk-max", {"m": 6, "k": 1, "chosen": (9,)})
+
+
 def test_named_claim_errors():
     with pytest.raises(UnknownClaim):
         verify_named_claim("not-a-claim")

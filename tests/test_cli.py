@@ -413,7 +413,7 @@ _COMMAND_FLAGS = {  # command -> (its mode flags, its other flags)
     "verify": (["--all", "--claim"], ["--n", "--m", "--k", "--chosen", "--format", "--timing"]),
     "oracle-check": ([], []),
 }
-_SWITCHES = {"--dot", "--json", "--longest", "--witness", "--all", "--timing", "--a", "--threads"}
+_SWITCHES = {"--dot", "--json", "--longest", "--witness", "--all", "--timing", "--threads"}
 _FLAG_VALUES = {
     "--format": st.sampled_from(["text", "json", "xml"]),
     "--claim": st.sampled_from([*CHECKERS, *NAMED_CLAIMS, "bogus"]),
@@ -689,16 +689,36 @@ def test_verify_named_claim_with_params(files, capsys):
     assert run(["verify", files["mu4"], "--claim", "ceva-range", "--n", "5"]) == EXIT_OK
     capsys.readouterr()
     assert run(["verify", files["mu4"], "--claim", "ceva-range"]) == EXIT_USAGE
-    assert "requires parameter 'n'" in capsys.readouterr().err
+    assert "error: claim 'ceva-range': family 'ceva' needs parameters: n" in capsys.readouterr().err
 
 
 def test_verify_named_claim_refuses_flags_it_does_not_take(capsys):
     assert run(["verify", "--claim", "hesse-longest", "--n", "100000"]) == EXIT_USAGE
-    assert "error: claim 'hesse-longest' does not take parameter 'n'" in capsys.readouterr().err
+    assert (
+        "error: claim 'hesse-longest': family 'hesse' does not take parameter 'n'"
+        in capsys.readouterr().err
+    )
     assert run(["verify", "--claim", "ceva-range", "--n", "5", "--k", "9"]) == EXIT_USAGE
-    assert "error: claim 'ceva-range' does not take parameter 'k'" in capsys.readouterr().err
+    assert "error: claim 'ceva-range': family 'ceva' does not take parameter 'k'" in capsys.readouterr().err
     assert run(["verify", "--claim", "mu3-range", "--m", "5", "--chosen", "1"]) == EXIT_USAGE
     assert "does not take parameter 'chosen'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["{mu4}", "--all", "--m", "9", "--k", "3"],
+        ["{mu4}", "--claim", "c6", "--n", "4"],
+        ["{mu4}", "--claim", "c6", "--chosen", "1,2"],
+        ["--all", "--a", "3"],
+    ],
+)
+def test_verify_refuses_family_flags_without_a_named_claim(files, capsys, argv):
+    assert run(["verify", *(word.format(mu4=files["mu4"]) for word in argv)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --")
+    assert "family flags go with a named claim" in captured.err
 
 
 def test_verify_awk_max_at_m_8_is_decided(files, capsys):

@@ -134,6 +134,7 @@ def test_build_family_dispatch():
         ("hesse", {"k": 3}, "does not take parameter"),
         ("two_modular", {"a": 2}, "needs parameters: b"),
         ("generic", {}, "needs parameters: k"),
+        ("ceva", {"name": 3}, "^family 'ceva' does not take parameter 'name'$"),
     ],
 )
 def test_build_family_errors(name, params, message):

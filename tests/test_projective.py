@@ -551,8 +551,6 @@ def test_coordinates_that_contradict_the_points_are_refused(make, message):
     text = json.dumps(make())
     with pytest.raises(ArrangementError, match=message):
         arrangement_from_json(text)
-    # Without validation a document loads as written.
-    assert arrangement_from_json(text, require_valid=False).coordinates is not None
 
 
 def test_coordinates_that_realise_relabelled_points_load():
